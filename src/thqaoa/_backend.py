@@ -25,7 +25,7 @@ _requested = os.environ.get("THQAOA_BACKEND", "auto").strip().lower() or "auto"
 
 if _requested == "python":
     from . import _evolve_py as _impl
-elif _requested in ("compiled", "c"):
+elif _requested == "compiled":
     try:
         from . import _evolve as _impl  # type: ignore[attr-defined]
     except ImportError as exc:

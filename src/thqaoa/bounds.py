@@ -10,6 +10,8 @@ Contents:
   by a two-point law.
 * :func:`max_amplification_floor` -- the expectation floor obtained by
   granting every low-cost state the maximal amplification ``(2r+1)^2``.
+  Its per-r core ``_floor_terms`` serves round searches that need the
+  floor alone, without the law-constant round counts of the report.
 * :func:`score_cap_min_rounds` -- the score cap ``2 sqrt(r(r+1))`` and the
   induced minimum round count to reach a target approximation ratio.
 * :func:`grover_based_min_rounds_exact` -- rounds needed before the
@@ -25,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dist_core import DiscreteLaw, Distribution
+from .dist_models import EmpiricalLaw
 from .errors import DomainError
 from .gmqaoa import PhaseFunction, simulate
 from .gmth import min_rounds_exact_opt
@@ -106,9 +109,7 @@ def c_th(r: int) -> Tuple[float, float]:
     (the optimum sits at a constant fraction of the certainty ratio).
     Returns ``(rho_star, C_Th)``.
     """
-    if int(r) != r or r < 1:
-        raise DomainError(f"round count must be a positive integer, got {r!r}")
-    r = int(r)
+    r = _check_rounds(r)
     rho_th = threshold_ratio(r)
     hi = math.log(rho_th)
     lo = hi + math.log(1e-6)
@@ -155,10 +156,19 @@ def max_amplification_floor(
     ``L`` is the law's tail constant used for the report's quantile
     envelope; when omitted the envelope carries the unscaled shape
     factors ``(1/(4r^2), pi^2/(16 r^2))``.
+
+    This wrapper adds the two round counts that depend on the law alone
+    to the per-r terms of :func:`_floor_terms`.  Callers that scan many
+    r and need only ``E_floor`` call that core directly; callers that
+    need whole reports for many r use :func:`_floor_reports`, which
+    computes the round counts once.
     """
-    if int(r) != r or r < 1:
-        raise DomainError(f"round count must be a positive integer, got {r!r}")
-    r = int(r)
+    return _floor_reports(dist, [r], L)[0]
+
+
+def _floor_terms(dist: Distribution, r: int) -> Tuple[float, float, float]:
+    """Per-r core of :func:`max_amplification_floor`: ``(tau1, tau2, E_floor)``."""
+    r = _check_rounds(r)
     den = float((2 * r + 1) ** 2)
     cap = 1.0 / den
     if isinstance(dist, DiscreteLaw):
@@ -173,29 +183,51 @@ def max_amplification_floor(
             f1 = float(prefix[idx])
             g1 = float(dist.spectrum.gain_prefix[idx])
             tau2 = float(values[min(idx + 1, values.size - 1)])
-        e_floor = g1 * den + tau2 * (1.0 - f1 * den)
+        return tau1, tau2, g1 * den + tau2 * (1.0 - f1 * den)
+    tau1 = dist.quantile(cap)
+    return tau1, tau1, dist.partial_expectation(tau1) * den
+
+
+def _floor_reports(
+    dist: Distribution, rounds: Sequence[int], L: Optional[float] = None
+) -> List[BoundReport]:
+    """One :func:`max_amplification_floor` report per round count.
+
+    ``min_rounds_exact`` and ``min_rounds_grover`` depend on the law
+    alone, so they are computed once for all of ``rounds``.
+    """
+    rounds = [_check_rounds(r) for r in rounds]
+    if isinstance(dist, DiscreteLaw):
         min_exact: Optional[int] = min_rounds_exact_opt(dist)
-        min_grover: Optional[int] = grover_based_min_rounds_exact(dist.min_mass())
+        min_grover: Optional[int] = _grover_min_rounds_of_law(dist)
     else:
-        tau1 = dist.quantile(cap)
-        tau2 = tau1
-        e_floor = dist.partial_expectation(tau1) * den
-        min_exact = None
-        min_grover = None
-    return BoundReport(
-        r=r,
-        tau1=tau1,
-        tau2=tau2,
-        E_floor=e_floor,
-        C_cap=2.0 * math.sqrt(r * (r + 1.0)),
-        quantile_bounds=(
-            quantile_sandwich(r, L)
-            if L is not None
-            else (0.25 / r**2, math.pi**2 / (16.0 * r**2))
-        ),
-        min_rounds_exact=min_exact,
-        min_rounds_grover=min_grover,
-    )
+        min_exact = min_grover = None
+    reports = []
+    for r in rounds:
+        tau1, tau2, e_floor = _floor_terms(dist, r)
+        reports.append(
+            BoundReport(
+                r=r,
+                tau1=tau1,
+                tau2=tau2,
+                E_floor=e_floor,
+                C_cap=2.0 * math.sqrt(r * (r + 1.0)),
+                quantile_bounds=(
+                    quantile_sandwich(r, L)
+                    if L is not None
+                    else (0.25 / r**2, math.pi**2 / (16.0 * r**2))
+                ),
+                min_rounds_exact=min_exact,
+                min_rounds_grover=min_grover,
+            )
+        )
+    return reports
+
+
+def _check_rounds(r: int) -> int:
+    if int(r) != r or r < 1:
+        raise DomainError(f"round count must be a positive integer, got {r!r}")
+    return int(r)
 
 
 def score_cap_min_rounds(dist: Distribution, r: int, lam: float) -> Tuple[float, int]:
@@ -209,9 +241,7 @@ def score_cap_min_rounds(dist: Distribution, r: int, lam: float) -> Tuple[float,
     target with ``mu - lam*R_min <= 0`` makes the bound vacuous and
     returns ``r_min = 1``.
     """
-    if int(r) != r or r < 1:
-        raise DomainError(f"round count must be a positive integer, got {r!r}")
-    r = int(r)
+    r = _check_rounds(r)
     r_min_val = dist.r_min
     if not math.isfinite(r_min_val) or r_min_val == 0.0:
         raise DomainError("the minimum-round bound needs a finite nonzero support minimum")
@@ -237,15 +267,30 @@ def grover_based_min_rounds_exact(f_min: float) -> int:
     return max(0, math.ceil(0.5 * (1.0 / math.sqrt(f_min) - 1.0) - 1e-12))
 
 
+def _grover_min_rounds_of_law(dist: DiscreteLaw) -> int:
+    """:func:`grover_based_min_rounds_exact` of the law's optimum mass.
+
+    For an :class:`EmpiricalLaw` the count is exact at any size: the
+    smallest r with ``(2r+1)^2 * c0 >= N``, with ``c0`` the multiplicity
+    of the minimum and ``N`` the total count, found with ``math.isqrt``.
+    The float formula, whose square root goes wrong once the count
+    passes about 2^50, serves the other discrete laws.
+    """
+    if not isinstance(dist, EmpiricalLaw):
+        return grover_based_min_rounds_exact(dist.min_mass())
+    need = -(-dist.total_count // dist.multiplicities[0])  # (2r+1)^2 >= ceil(N / c0)
+    root = math.isqrt(need)
+    side = root if root * root == need else root + 1  # smallest s with s^2 >= need
+    return side // 2  # smallest r with 2r + 1 >= side
+
+
 def quantile_sandwich(r: int, L: float) -> Tuple[float, float]:
     """Asymptotic envelope (L/(4r^2), L*pi^2/(16 r^2)) of the optimal
     expectation's quantile; the two ends differ by pi^2/4 for every r.
     """
-    if int(r) != r or r < 1:
-        raise DomainError(f"round count must be a positive integer, got {r!r}")
+    r = _check_rounds(r)
     if not 0.0 < L < 1.0:
         raise DomainError(f"tail constant must lie in (0, 1), got {L!r}")
-    r = int(r)
     return L / (4.0 * r * r), L * math.pi**2 / (16.0 * r * r)
 
 

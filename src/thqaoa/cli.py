@@ -380,25 +380,23 @@ def _cmd_bound(cfg: ExperimentConfig):
     dist = _parse_dist(str(cfg["dist"]))
     rounds = _parse_rounds(str(cfg["r"]))
     tail_l = cfg["tail_l"]
-    rows = []
-    for r in rounds:
-        report = bounds.max_amplification_floor(
-            dist, r, L=None if tail_l is None else float(tail_l)  # type: ignore[arg-type]
+    # One call for all r: the two round counts depend on the law alone.
+    reports = bounds._floor_reports(
+        dist, rounds, L=None if tail_l is None else float(tail_l)  # type: ignore[arg-type]
+    )
+    rows = [
+        (
+            report.r,
+            report.tau1,
+            report.tau2,
+            report.E_floor,
+            report.C_cap,
+            *report.quantile_bounds,
+            report.min_rounds_exact,
+            report.min_rounds_grover,
         )
-        low, high = report.quantile_bounds
-        rows.append(
-            (
-                r,
-                report.tau1,
-                report.tau2,
-                report.E_floor,
-                report.C_cap,
-                low,
-                high,
-                report.min_rounds_exact,
-                report.min_rounds_grover,
-            )
-        )
+        for report in reports
+    ]
     return (
         "r",
         "tau1",
@@ -428,6 +426,10 @@ def _cmd_maxcut(cfg: ExperimentConfig):
     lam = cfg["lam"]
     frame = str(cfg["frame"])
     if lam is not None:
+        if cfg["graph"] is not None:
+            raise ConfigError(
+                "--graph selects spectrum mode and --lam the K_{n,n} round search; give one, not both"
+            )
         bound_kind = str(cfg["bound_kind"])
         if cfg["n_range"] is not None:
             parts = str(cfg["n_range"]).split(",")

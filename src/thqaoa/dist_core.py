@@ -32,8 +32,9 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate, optimize
@@ -125,10 +126,14 @@ class DiscreteSpectrum:
     def from_multiplicities(values: Sequence[float], multiplicities: Sequence[int]) -> "DiscreteSpectrum":
         """Build a spectrum from exact integer multiplicities.
 
-        All prefix/suffix sums are computed in exact integer/rational
-        arithmetic and converted to correctly rounded float64 at the
-        end, so even masses around 1e-180 (huge solution-space counts)
-        keep full relative precision.
+        Every finite float is an integer over a power of two, so the
+        values are scaled to integers ``k_i`` over one common power of
+        two ``D`` (:func:`_integer_numerators`).  The prefix/suffix sums
+        of counts and of ``k_i * count_i`` are then exact Python ints,
+        and each entry is finished by one int/int true division, which
+        CPython rounds correctly.  Every entry is thus the exact rational
+        value rounded once to float64, so even masses around 1e-180
+        (huge solution-space counts) keep full relative precision.
         """
         v = np.asarray(values, dtype=np.float64)
         mults = [int(c) for c in multiplicities]
@@ -138,28 +143,18 @@ class DiscreteSpectrum:
             raise DomainError("multiplicities must be positive integers")
         total = sum(mults)
         _validate_support(v, np.ones_like(v))
-        # Exact cumulative counts and value-weighted counts.
-        frac_values = [Fraction(float(x)) for x in v]
-        cum_count = 0
-        cum_gain = Fraction(0)
-        mass_prefix = np.empty(v.size, dtype=np.float64)
-        gain_prefix = np.empty(v.size, dtype=np.float64)
-        masses = np.empty(v.size, dtype=np.float64)
-        for i, (fx, c) in enumerate(zip(frac_values, mults)):
-            cum_count += c
-            cum_gain += fx * c
-            masses[i] = c / total
-            mass_prefix[i] = cum_count / total
-            gain_prefix[i] = float(cum_gain / total)
-        cum_count = 0
-        cum_gain = Fraction(0)
-        mass_suffix = np.empty(v.size, dtype=np.float64)
-        gain_suffix = np.empty(v.size, dtype=np.float64)
-        for i in range(v.size - 1, -1, -1):
-            cum_count += mults[i]
-            cum_gain += frac_values[i] * mults[i]
-            mass_suffix[i] = cum_count / total
-            gain_suffix[i] = float(cum_gain / total)
+        scaled, den = _integer_numerators(v)
+        weights = list(map(mul, scaled, mults))
+        gain_den = den * total
+
+        def ratios(numerators, denominator) -> np.ndarray:
+            return np.array([k / denominator for k in numerators], dtype=np.float64)
+
+        masses = ratios(mults, total)
+        mass_prefix = ratios(accumulate(mults), total)
+        gain_prefix = ratios(accumulate(weights), gain_den)
+        mass_suffix = ratios(list(accumulate(reversed(mults)))[::-1], total)
+        gain_suffix = ratios(list(accumulate(reversed(weights)))[::-1], gain_den)
         return DiscreteSpectrum(v, masses, mass_prefix, gain_prefix, mass_suffix, gain_suffix)
 
     # -- queries -------------------------------------------------------
@@ -193,6 +188,19 @@ class DiscreteSpectrum:
         idx = int(np.searchsorted(self.mass_prefix, p, side="left"))
         idx = min(idx, self.size - 1)
         return float(self.values[idx])
+
+
+def _integer_numerators(values: np.ndarray) -> Tuple[List[int], int]:
+    """Exact integers ``k_i`` and one power of two ``D`` with
+    ``values[i] == k_i / D`` for every (finite) value.
+
+    ``D`` is the largest denominator of ``float.as_integer_ratio``
+    over the values, so it reaches ``2**1074`` when a subnormal is
+    present; Python ints carry that without loss.
+    """
+    ratios = [x.as_integer_ratio() for x in np.asarray(values, dtype=np.float64).tolist()]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _validate_support(values: np.ndarray, masses: np.ndarray) -> None:
@@ -292,12 +300,15 @@ class DiscreteLaw(Distribution):
         std: Optional[float] = None,
     ):
         self.spectrum = spectrum
-        v = spectrum.values.astype(np.longdouble)
-        m = spectrum.masses.astype(np.longdouble)
-        computed_mean = float(np.dot(v, m))
-        computed_var = float(np.dot((v - computed_mean) ** 2, m))
-        self.mean = computed_mean if mean is None else float(mean)
-        self.std = math.sqrt(computed_var) if std is None else float(std)
+        if mean is None or std is None:
+            v = spectrum.values.astype(np.longdouble)
+            m = spectrum.masses.astype(np.longdouble)
+            computed_mean = float(np.dot(v, m))
+            computed_var = float(np.dot((v - computed_mean) ** 2, m))
+            mean = computed_mean if mean is None else mean
+            std = math.sqrt(computed_var) if std is None else std
+        self.mean = float(mean)
+        self.std = float(std)
         if not (self.std > 0.0):
             raise DomainError("distribution must have positive standard deviation")
         self.r_min = float(spectrum.values[0])

@@ -18,20 +18,22 @@ Models
 * :class:`TwoPointLaw` -- mass rho at -1 and 1 - rho at 0; the extremal
   law for standard-score bounds.
 * :class:`EmpiricalLaw` -- exact (value, multiplicity) spectra with
-  arbitrary-precision counts.
+  arbitrary-precision counts.  Its spectrum and moments are built in
+  integer arithmetic (values scaled to integers over one power of two)
+  and rounded once per entry, so they equal the exact rational results
+  correctly rounded to float64.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from fractions import Fraction
 from typing import Iterable, Tuple
 
 import numpy as np
 from scipy import special
 
-from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum
+from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum, _integer_numerators
 from .errors import DomainError
 
 __all__ = [
@@ -310,9 +312,16 @@ class EmpiricalLaw(DiscreteLaw):
     """An exact finite spectrum given as (value, multiplicity) pairs.
 
     Multiplicities are arbitrary-precision integers (solution-space
-    counts can exceed 64 bits by hundreds of digits); the mean and
-    standard deviation are computed in exact rational arithmetic and
-    rounded once.
+    counts can exceed 64 bits by hundreds of digits).  The mean and
+    standard deviation are computed in integer arithmetic: with the
+    values written exactly as ``k_i / D`` over one power of two ``D``,
+    ``N`` the total count, ``S1 = sum(k_i c_i)`` and
+    ``S2 = sum(k_i^2 c_i)``,
+
+        mean = S1 / (N D),    var = (N S2 - S1^2) / (N^2 D^2),
+
+    each rounded once by an int/int true division (then ``sqrt`` for the
+    standard deviation).
     """
 
     def __init__(self, pairs: Iterable[Tuple[float, int]]):
@@ -323,10 +332,11 @@ class EmpiricalLaw(DiscreteLaw):
         counts = [c for _, c in pairs]
         spectrum = DiscreteSpectrum.from_multiplicities(values, counts)
         total = sum(counts)
-        mean_frac = sum(Fraction(v) * c for v, c in pairs) / total
-        second_frac = sum(Fraction(v) * Fraction(v) * c for v, c in pairs) / total
-        var_frac = second_frac - mean_frac * mean_frac
-        super().__init__(spectrum, mean=float(mean_frac), std=math.sqrt(float(var_frac)))
+        scaled, den = _integer_numerators(spectrum.values)
+        s1 = sum(k * c for k, c in zip(scaled, counts))
+        s2 = sum(k * k * c for k, c in zip(scaled, counts))
+        var = (total * s2 - s1 * s1) / (total * total * den * den)
+        super().__init__(spectrum, mean=s1 / (total * den), std=math.sqrt(var))
         self.multiplicities = tuple(counts)
         self.total_count = total
 

@@ -270,7 +270,7 @@ def fig7_rows() -> Tuple[Header, List[Row]]:
     n_sq = 50.0 * 50.0
     rows: List[Row] = []
     for r in round_grid_pow2(100, 5000):
-        e_floor = bounds.max_amplification_floor(law, r).E_floor
+        _, _, e_floor = bounds._floor_terms(law, r)
         rows.append((r, e_floor, 0.5 - e_floor / n_sq))
     return ("r", "e_floor", "lam"), rows
 

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .bounds import max_amplification_floor
+from .bounds import _floor_terms
 from .dist_models import EmpiricalLaw
 from .errors import DomainError, NumericalError
 from .gmth import min_rounds_exact_opt, optimize_threshold
@@ -261,7 +261,7 @@ def _achieved_ratio(law_y: EmpiricalLaw, n: int, r: int, bound_kind: str) -> flo
     ``R_min_x = -n^2``, i.e. ``lam = 1/2 - E_y / n^2``.
     """
     if bound_kind == "max_amplification":
-        expectation = max_amplification_floor(law_y, r).E_floor
+        _, _, expectation = _floor_terms(law_y, r)
     else:
         expectation = optimize_threshold(law_y, r).E_r
     return 0.5 - expectation / float(n * n)
@@ -274,7 +274,10 @@ def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplificatio
 
     * ``"max_amplification"`` -- the per-class amplification floor
       (the most optimistic expectation any amplitude-amplification
-      schedule can reach); at ``lam = 1`` this branch returns the
+      schedule can reach).  Each r evaluates only the per-r core of
+      :func:`~thqaoa.bounds.max_amplification_floor` (``tau1``,
+      ``tau2``, ``E_floor``), not the report's round counts, which
+      depend on the law alone.  At ``lam = 1`` this branch returns the
       closed form ``ceil(2^{(2n-3)/2})``, the smallest r with
       ``(2r)^2`` amplified draws covering the ``M / 2`` solutions per
       optimal assignment.

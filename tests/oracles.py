@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -231,6 +232,63 @@ def phase_expansion_reference(
     value = -1j * total
     assert abs(value.imag) < 1e-8, value
     return float(value.real)
+
+
+# ---------------------------------------------------------------------------
+# Exact (value, count) laws in rational arithmetic
+# ---------------------------------------------------------------------------
+
+
+def fraction_spectrum(values: Sequence[float], counts: Sequence[int]) -> Dict[str, object]:
+    """Masses, prefix/suffix sums and moments of an exact law, in
+    ``Fraction`` arithmetic.
+
+    Each array entry is the exact rational value rounded once to float
+    (``float(Fraction)``); ``mean`` and ``var`` are returned as exact
+    ``Fraction`` values so the caller decides how to round them.
+    """
+    exact = [Fraction(float(v)) for v in values]
+    counts = [int(c) for c in counts]
+    total = sum(counts)
+    mass_prefix, gain_prefix = [], []
+    cum_count, cum_gain = 0, Fraction(0)
+    for x, c in zip(exact, counts):
+        cum_count += c
+        cum_gain += x * c
+        mass_prefix.append(float(Fraction(cum_count, total)))
+        gain_prefix.append(float(cum_gain / total))
+    mass_suffix, gain_suffix = [], []
+    cum_count, cum_gain = 0, Fraction(0)
+    for x, c in zip(reversed(exact), reversed(counts)):
+        cum_count += c
+        cum_gain += x * c
+        mass_suffix.append(float(Fraction(cum_count, total)))
+        gain_suffix.append(float(cum_gain / total))
+    mean = sum(x * c for x, c in zip(exact, counts)) / total
+    second = sum(x * x * c for x, c in zip(exact, counts)) / total
+    return {
+        "masses": [float(Fraction(c, total)) for c in counts],
+        "mass_prefix": mass_prefix,
+        "gain_prefix": gain_prefix,
+        "mass_suffix": mass_suffix[::-1],
+        "gain_suffix": gain_suffix[::-1],
+        "mean": mean,
+        "var": second - mean * mean,
+    }
+
+
+def grover_min_rounds_reference(c0: int, total: int) -> int:
+    """Smallest r >= 0 with (2r+1)^2 * c0 >= total, by integer bisection."""
+    lo, hi = -1, 1  # the predicate fails at lo (r = -1 is a sentinel)
+    while (2 * hi + 1) ** 2 * c0 < total:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (2 * mid + 1) ** 2 * c0 >= total:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,14 @@ def test_python_backend_env_override():
 
 def test_unknown_backend_env_rejected():
     code = "import thqaoa"
-    env = dict(os.environ, THQAOA_BACKEND="fortran")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode != 0
-    assert "THQAOA_BACKEND" in proc.stderr
+    # each backend has one spelling: "c" is not an alias of "compiled"
+    for name in ("fortran", "c"):
+        env = dict(os.environ, THQAOA_BACKEND=name)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode != 0
+        assert f"THQAOA_BACKEND={name!r} not recognized" in proc.stderr
 
 
 @pytest.mark.skipif(

@@ -7,7 +7,7 @@ import pytest
 from scipy import optimize as sciopt
 
 import oracles
-from thqaoa import gmqaoa
+from thqaoa import bounds, cli, gmqaoa
 from thqaoa.bounds import (
     c_th,
     grover_based_min_rounds_exact,
@@ -25,6 +25,7 @@ from thqaoa.grover_kernel import (
     grover_probability,
     threshold_ratio,
 )
+from thqaoa.maxcut import knn_spectrum, min_rounds_for_ratio
 
 
 def random_discrete_law(rng, max_atoms=12):
@@ -206,6 +207,32 @@ def test_grover_min_rounds_formula():
     for bad in (0.0, -0.1, 1.1):
         with pytest.raises(DomainError):
             grover_based_min_rounds_exact(bad)
+
+
+def test_grover_min_rounds_exact_for_knn_laws():
+    # K_{n,n}: the optimum carries 2 of 4^n assignments; the count is exact
+    # in integers past 2^50 rounds, where a float square root is not
+    assert max_amplification_floor(knn_spectrum(51), 1).min_rounds_grover == 796131459065722
+    for n in range(2, 80):
+        law = knn_spectrum(n)
+        assert law.multiplicities[0] == 2 and law.total_count == 4**n
+        got = max_amplification_floor(law, 1).min_rounds_grover
+        assert got == oracles.grover_min_rounds_reference(2, 4**n), n
+
+
+def test_law_round_counts_stay_out_of_per_round_floors(monkeypatch, capsys):
+    calls = []
+
+    def counted(dist):
+        calls.append(dist)
+        return min_rounds_exact_opt(dist)
+
+    monkeypatch.setattr(bounds, "min_rounds_exact_opt", counted)
+    assert min_rounds_for_ratio(12, 0.9) >= 1  # per-r floors only
+    assert calls == []
+    assert cli.run(["bound", "--dist", "knn:6", "--r", "1,2,3,4"]) == 0
+    assert len(calls) == 1  # once per call, not once per r
+    assert len(capsys.readouterr().out.splitlines()) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,19 @@ def test_config_errors_exit_two(capsys, argv):
     assert out == ""
 
 
+def test_maxcut_graph_with_lam_rejected(capsys, tmp_path):
+    # the round search covers K_{n,n} only; a graph must not be ignored
+    graph = tmp_path / "tri.txt"
+    graph.write_text("0 1\n1 2\n0 2\n")
+    code, out, err = run_cli(
+        capsys, "maxcut", "--graph", str(graph), "--lam", "0.9", "--n", "4"
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "--graph" in err and "--lam" in err
+    assert out == ""
+
+
 def test_numerical_error_exits_three(capsys, monkeypatch):
     def explode(cfg):
         raise NumericalError("synthetic instability")

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 import oracles
+from thqaoa.dist_core import DiscreteSpectrum
 from thqaoa.dist_models import (
     empirical_from_file,
     make_binomial,
@@ -19,6 +20,7 @@ from thqaoa.dist_models import (
     pareto_limit_L,
 )
 from thqaoa.errors import DomainError
+from thqaoa.maxcut import knn_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +149,70 @@ def test_empirical_exact_big_multiplicities():
     # exact rational variance: 4 / total
     assert law.std**2 == pytest.approx(4.0 / total, rel=1e-12)
     assert law.spectrum.masses[0] == pytest.approx(2.0 / total, rel=1e-15)
+
+
+_SPECTRUM_ARRAYS = ("masses", "mass_prefix", "gain_prefix", "mass_suffix", "gain_suffix")
+
+
+def _assert_spectrum_matches_fraction_oracle(spectrum, ref):
+    for name in _SPECTRUM_ARRAYS:
+        # exact equality: the integer construction must round each entry
+        # exactly once, like the rational reference
+        assert getattr(spectrum, name).tolist() == ref[name], name
+
+
+def _random_law(rng, kind):
+    """Ascending distinct values and positive counts of one random law."""
+    size = int(rng.integers(2, 40))
+    if kind == "uniform":
+        values = rng.uniform(-1e3, 1e3, size)
+    elif kind == "subnormal":
+        # subnormals (k * 2^-1074) of both signs next to ordinary values
+        tiny = rng.integers(1, 2**52, size) * 5e-324 * rng.choice([-1.0, 1.0], size)
+        values = np.concatenate([tiny, [-1.0, 0.0, 2.5]])
+    else:  # "spread": magnitudes from 1e-300 to 1e300, both signs
+        values = 10.0 ** rng.uniform(-300.0, 300.0, size) * rng.choice([-1.0, 1.0], size)
+    values = np.unique(values)
+    counts = [int(rng.integers(1, 1000)) * 10 ** int(rng.integers(0, 181)) for _ in values]
+    return values.tolist(), counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 300])
+def test_knn_law_bit_identical_to_fraction_oracle(n):
+    law = knn_spectrum(n)
+    ref = oracles.fraction_spectrum(law.spectrum.values.tolist(), law.multiplicities)
+    _assert_spectrum_matches_fraction_oracle(law.spectrum, ref)
+    assert law.mean == float(ref["mean"])
+    assert law.std == math.sqrt(float(ref["var"]))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "subnormal", "spread"])
+@pytest.mark.parametrize("seed", range(8))
+def test_random_law_bit_identical_to_fraction_oracle(kind, seed):
+    rng = np.random.default_rng(seed)
+    values, counts = _random_law(rng, kind)
+    ref = oracles.fraction_spectrum(values, counts)
+    _assert_spectrum_matches_fraction_oracle(
+        DiscreteSpectrum.from_multiplicities(values, counts), ref
+    )
+    if kind == "spread":
+        # squares of values up to 1e300 overflow a float variance; the
+        # spectrum arrays above are the whole check for this family
+        return
+    law = make_empirical(zip(values, counts))
+    _assert_spectrum_matches_fraction_oracle(law.spectrum, ref)
+    assert law.mean == float(ref["mean"])
+    assert law.std == math.sqrt(float(ref["var"]))
+
+
+def test_huge_counts_bit_identical_to_fraction_oracle():
+    values, counts = [-1.0, 0.0, 1.0], [2, 10**180, 2]
+    law = make_empirical(zip(values, counts))
+    ref = oracles.fraction_spectrum(values, counts)
+    _assert_spectrum_matches_fraction_oracle(law.spectrum, ref)
+    assert law.mean == float(ref["mean"]) == 0.0
+    assert law.std == math.sqrt(float(ref["var"]))
+    assert law.spectrum.masses[0] > 0.0
 
 
 def test_empirical_from_file_roundtrip(tmp_path):
