@@ -6,7 +6,7 @@ form, what a Grover-mixer schedule can achieve on it:
 
 * :mod:`thqaoa.dist_core` / :mod:`thqaoa.dist_models` -- the
   distribution layer: cdf, partial expectation ``E[X 1{X<=x}]``,
-  quantiles, standardized views, equal-mass discretization, and the
+  quantiles (scalar and vectorized), equal-mass discretization, and the
   concrete families (normal, reflected gamma, binomial, reflected
   Pareto, two-point, empirical).
 * :mod:`thqaoa.grover_kernel` -- the amplitude-amplification kernel:
@@ -59,7 +59,6 @@ from .dist_core import (
     DiscreteLaw,
     DiscreteSpectrum,
     Distribution,
-    StandardizedView,
     discretize_equal_mass,
 )
 from .dist_models import (
@@ -104,7 +103,6 @@ from .gmth import (
 from .grover_kernel import (
     POLY_MAX_ROUNDS,
     AngleSchedule,
-    GroverParams,
     amplification_ratio,
     grover_probability,
     grover_probability_poly,
@@ -137,7 +135,6 @@ __all__ = [
     "DiscreteSpectrum",
     "DiscreteLaw",
     "ContinuousLaw",
-    "StandardizedView",
     "discretize_equal_mass",
     "NormalLaw",
     "ReflectedGammaLaw",
@@ -155,7 +152,6 @@ __all__ = [
     "pareto_epsilon_for_exponent",
     "pareto_limit_L",
     # amplification kernel
-    "GroverParams",
     "AngleSchedule",
     "threshold_ratio",
     "grover_probability",

@@ -25,6 +25,7 @@ from scipy import integrate, special
 
 from .dist_core import DiscreteLaw, Distribution
 from .errors import DomainError, NumericalError
+from .grover_kernel import _check_rounds
 
 __all__ = [
     "CrsResult",
@@ -83,9 +84,7 @@ def crs_blom(u: float, s: float, r: int, effort_factor: int = DEFAULT_EFFORT_FAC
     """
     if not (s > 0.0) or not (math.isfinite(u) and math.isfinite(s)):
         raise DomainError(f"blom approximation requires finite u and s > 0, got u={u!r}, s={s!r}")
-    if int(r) != r or r < 1:
-        raise DomainError(f"round count must be a positive integer, got {r!r}")
-    k = _check_samples(int(effort_factor) * int(r))
+    k = _check_samples(int(effort_factor) * _check_rounds(r))
     c = BLOM_CONTINUITY_CONSTANT
     return u + s * float(special.ndtri((1.0 - c) / (k - 2.0 * c + 1.0)))
 

@@ -35,8 +35,8 @@ from .dist_core import DiscreteLaw, Distribution
 from .dist_models import EmpiricalLaw
 from .errors import DomainError
 from .gmqaoa import PhaseFunction, simulate
-from .gmth import min_rounds_exact_opt
-from .grover_kernel import AngleSchedule, grover_probability_vec, threshold_ratio
+from .gmth import _golden_section_argmin, min_rounds_exact_opt
+from .grover_kernel import AngleSchedule, _check_rounds, grover_probability_vec, threshold_ratio
 
 __all__ = [
     "BoundReport",
@@ -48,9 +48,6 @@ __all__ = [
     "quantile_sandwich",
     "simulated_amplification",
 ]
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -117,20 +114,7 @@ def c_th(r: int) -> Tuple[float, float]:
     def value_at(v: float) -> float:
         return -float(_score_of_mass(np.array([math.exp(v)]), r)[0])
 
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = value_at(c), value_at(d)
-    while (b - a) > 1e-13:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = value_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = value_at(d)
-    v = c if fc <= fd else d
+    v = _golden_section_argmin(value_at, lo, hi, 1e-13)
     rho_star = math.exp(v)
     return rho_star, -value_at(v)
 
@@ -222,12 +206,6 @@ def _floor_reports(
             )
         )
     return reports
-
-
-def _check_rounds(r: int) -> int:
-    if int(r) != r or r < 1:
-        raise DomainError(f"round count must be a positive integer, got {r!r}")
-    return int(r)
 
 
 def score_cap_min_rounds(dist: Distribution, r: int, lam: float) -> Tuple[float, int]:

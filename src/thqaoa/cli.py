@@ -99,9 +99,12 @@ class ExperimentConfig:
 
 def _parse_float_list(text: str, flag: str) -> List[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [float(part) for part in text.split(",") if part != ""]
+        if any(math.isnan(v) for v in values):
+            raise ValueError
     except ValueError:
         raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+    return values
 
 
 def _parse_dist(spec: str) -> Distribution:
@@ -328,6 +331,8 @@ def _cmd_threshold(cfg: ExperimentConfig):
     dist = _parse_dist(str(cfg["dist"]))
     r = _parse_single_round(str(cfg["r"]))
     t = cfg["t"]
+    if t is not None and math.isnan(t):  # type: ignore[arg-type]
+        raise ConfigError(f"--t expects a number, got {t!r}")
     if t is None:
         report = gmth.optimize_threshold(dist, r)
     else:

@@ -1,27 +1,18 @@
-"""Distribution abstraction and derived statistical quantities.
+"""Distribution abstraction and the queries the threshold formulas use.
 
 This module defines the probability-law interface consumed by every
 formula in the package: the cumulative distribution function ``F``, the
-partial expectation ``G(x) = E[X * 1{X <= x}]``, conditional
-expectations on either side of a cut, quantiles, and the standardized
-(mean-zero / unit-variance) views
-
-    Y = X - mu,        Z = (X - mu) / sigma.
+partial expectation ``G(x) = E[X * 1{X <= x}]`` and quantiles, each with
+a vectorized ``_vec`` form.
 
 Two families of laws are supported:
 
 * :class:`DiscreteLaw` -- finite support, built on a
-  :class:`DiscreteSpectrum` that precomputes prefix and suffix sums of
-  mass and of value*mass so that every query is a binary search.
-* :class:`ContinuousLaw` -- density-based laws.  Subclasses provide
-  closed-form ``cdf``/``partial_expectation`` where available; an
-  adaptive-quadrature fallback (absolute tolerance 1e-12) backs any law
-  without closed forms and doubles as the universal test oracle.
-
-Conditional expectations with an empty conditioning event are returned
-as ``None`` (an explicit undefined marker) rather than NaN, because the
-threshold formulas take limits at ``F in {0, 1}`` instead of propagating
-invalid divisions.
+  :class:`DiscreteSpectrum` that precomputes prefix sums of mass and of
+  value*mass so that every query is a binary search.
+* :class:`ContinuousLaw` -- laws with closed-form ``cdf``,
+  ``partial_expectation`` and ``quantile`` (see
+  :mod:`thqaoa.dist_models`).
 
 Support bounds use signed-infinity sentinels; both ``F`` and ``G``
 evaluate to 0 at ``-inf``.
@@ -37,28 +28,19 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 __all__ = [
     "Distribution",
     "DiscreteSpectrum",
     "DiscreteLaw",
     "ContinuousLaw",
-    "StandardizedView",
-    "cdf",
-    "partial_expectation",
-    "conditional_expectations",
-    "quantile",
     "discretize_equal_mass",
 ]
 
 #: Total-mass consistency tolerance for discrete spectra.
 MASS_TOLERANCE = 1e-12
-
-#: Absolute tolerance of the adaptive-quadrature fallback.
-QUAD_TOLERANCE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +50,7 @@ QUAD_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class DiscreteSpectrum:
-    """A finite cost spectrum with precomputed prefix/suffix sums.
+    """A finite cost spectrum with precomputed prefix sums.
 
     Attributes
     ----------
@@ -81,10 +63,10 @@ class DiscreteSpectrum:
         ``mass_prefix[i] = sum(masses[: i + 1])`` and
         ``gain_prefix[i] = sum(values[: i + 1] * masses[: i + 1])``, so
         ``F(x)`` and ``G(x)`` are prefix lookups.
-    mass_suffix / gain_suffix:
-        The right-to-left analogues, kept separately so upper-tail
-        conditional expectations avoid the cancellation in ``1 - F`` and
-        ``mu - G`` when ``F`` is close to 1.
+    mass_suffix:
+        ``mass_suffix[i] = sum(masses[i:])``, summed right to left, so
+        ``P(X >= values[i])`` avoids the cancellation in ``1 - F`` when
+        ``F`` is close to 1.
     """
 
     values: np.ndarray
@@ -92,7 +74,6 @@ class DiscreteSpectrum:
     mass_prefix: np.ndarray
     gain_prefix: np.ndarray
     mass_suffix: np.ndarray
-    gain_suffix: np.ndarray
 
     # -- construction -------------------------------------------------
 
@@ -114,13 +95,12 @@ class DiscreteSpectrum:
         mass_prefix = np.minimum(np.cumsum(ml).astype(np.float64), 1.0)
         gain_prefix = np.cumsum(vl * ml).astype(np.float64)
         mass_suffix = np.cumsum(ml[::-1])[::-1].astype(np.float64)
-        gain_suffix = np.cumsum((vl * ml)[::-1])[::-1].astype(np.float64)
         # The total mass is 1 by construction; pin the accumulated
         # endpoints so float dust (masses summing to 1 +- few ulp)
-        # cannot leak into cdf/survival queries at the support edges.
+        # cannot leak into lookups at the support edges.
         mass_prefix[-1] = 1.0
         mass_suffix[0] = 1.0
-        return DiscreteSpectrum(v, m, mass_prefix, gain_prefix, mass_suffix, gain_suffix)
+        return DiscreteSpectrum(v, m, mass_prefix, gain_prefix, mass_suffix)
 
     @staticmethod
     def from_multiplicities(values: Sequence[float], multiplicities: Sequence[int]) -> "DiscreteSpectrum":
@@ -128,12 +108,13 @@ class DiscreteSpectrum:
 
         Every finite float is an integer over a power of two, so the
         values are scaled to integers ``k_i`` over one common power of
-        two ``D`` (:func:`_integer_numerators`).  The prefix/suffix sums
-        of counts and of ``k_i * count_i`` are then exact Python ints,
-        and each entry is finished by one int/int true division, which
-        CPython rounds correctly.  Every entry is thus the exact rational
-        value rounded once to float64, so even masses around 1e-180
-        (huge solution-space counts) keep full relative precision.
+        two ``D`` (:func:`_integer_numerators`).  The prefix sums of
+        counts and of ``k_i * count_i``, and the suffix sums of counts,
+        are then exact Python ints, and each entry is finished by one
+        int/int true division, which CPython rounds correctly.  Every
+        entry is thus the exact rational value rounded once to float64,
+        so even masses around 1e-180 (huge solution-space counts) keep
+        full relative precision.
         """
         v = np.asarray(values, dtype=np.float64)
         mults = [int(c) for c in multiplicities]
@@ -144,50 +125,15 @@ class DiscreteSpectrum:
         total = sum(mults)
         _validate_support(v, np.ones_like(v))
         scaled, den = _integer_numerators(v)
-        weights = list(map(mul, scaled, mults))
-        gain_den = den * total
 
         def ratios(numerators, denominator) -> np.ndarray:
             return np.array([k / denominator for k in numerators], dtype=np.float64)
 
         masses = ratios(mults, total)
         mass_prefix = ratios(accumulate(mults), total)
-        gain_prefix = ratios(accumulate(weights), gain_den)
+        gain_prefix = ratios(accumulate(map(mul, scaled, mults)), den * total)
         mass_suffix = ratios(list(accumulate(reversed(mults)))[::-1], total)
-        gain_suffix = ratios(list(accumulate(reversed(weights)))[::-1], gain_den)
-        return DiscreteSpectrum(v, masses, mass_prefix, gain_prefix, mass_suffix, gain_suffix)
-
-    # -- queries -------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-    def cdf(self, x: float) -> float:
-        """F(x), right-continuous."""
-        idx = int(np.searchsorted(self.values, x, side="right"))
-        return float(self.mass_prefix[idx - 1]) if idx > 0 else 0.0
-
-    def partial_expectation(self, x: float) -> float:
-        """G(x) = E[X * 1{X <= x}]."""
-        idx = int(np.searchsorted(self.values, x, side="right"))
-        return float(self.gain_prefix[idx - 1]) if idx > 0 else 0.0
-
-    def survival(self, x: float) -> float:
-        """P(X > x), computed from suffix sums (no 1 - F cancellation)."""
-        idx = int(np.searchsorted(self.values, x, side="right"))
-        return float(self.mass_suffix[idx]) if idx < self.size else 0.0
-
-    def upper_partial_expectation(self, x: float) -> float:
-        """E[X * 1{X > x}], computed from suffix sums."""
-        idx = int(np.searchsorted(self.values, x, side="right"))
-        return float(self.gain_suffix[idx]) if idx < self.size else 0.0
-
-    def quantile(self, p: float) -> float:
-        """Smallest support value with F >= p, for p in (0, 1)."""
-        idx = int(np.searchsorted(self.mass_prefix, p, side="left"))
-        idx = min(idx, self.size - 1)
-        return float(self.values[idx])
+        return DiscreteSpectrum(v, masses, mass_prefix, gain_prefix, mass_suffix)
 
 
 def _integer_numerators(values: np.ndarray) -> Tuple[List[int], int]:
@@ -223,10 +169,10 @@ class Distribution(ABC):
     """A probability law over costs.
 
     Concrete laws expose ``mean``, ``std`` (> 0), extended-real support
-    bounds ``r_min``/``r_max``, and the query quartet ``cdf``,
-    ``partial_expectation``, ``quantile``, ``conditional_expectations``.
-    Instances are immutable after construction and safe to share across
-    threads.
+    bounds ``r_min``/``r_max``, and the queries ``cdf``,
+    ``partial_expectation`` and ``quantile``, each with a vectorized
+    ``_vec`` form over arrays.  Instances are immutable after
+    construction and safe to share across threads.
     """
 
     #: "discrete" or "continuous"
@@ -250,38 +196,17 @@ class Distribution(ABC):
     def quantile(self, p: float) -> float:
         """Inverse cdf for p in (0, 1)."""
 
-    def survival(self, x: float) -> float:
-        """P(X > x).  Overridden where a cancellation-free form exists."""
-        return 1.0 - self.cdf(x)
-
-    def upper_partial_expectation(self, x: float) -> float:
-        """E[X * 1{X > x}].  Overridden where a closed form exists."""
-        return self.mean - self.partial_expectation(x)
-
-    def conditional_expectations(self, x: float) -> Tuple[Optional[float], Optional[float]]:
-        """(E[X | X <= x], E[X | X > x]) with ``None`` marking an
-        undefined branch (conditioning event of probability zero)."""
-        f = self.cdf(x)
-        s = self.survival(x)
-        lower = self.partial_expectation(x) / f if f > 0.0 else None
-        upper = self.upper_partial_expectation(x) / s if s > 0.0 else None
-        return (lower, upper)
-
-    def standardized(self) -> "StandardizedView":
-        return StandardizedView(self)
-
-    # -- vectorized hooks (defaults loop; models override) -------------
-
+    @abstractmethod
     def cdf_vec(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.cdf(float(t)) for t in np.asarray(x).ravel()]).reshape(np.shape(x))
+        """:meth:`cdf` over an array."""
 
+    @abstractmethod
     def partial_expectation_vec(self, x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.partial_expectation(float(t)) for t in np.asarray(x).ravel()]
-        ).reshape(np.shape(x))
+        """:meth:`partial_expectation` over an array."""
 
+    @abstractmethod
     def quantile_vec(self, p: np.ndarray) -> np.ndarray:
-        return np.array([self.quantile(float(t)) for t in np.asarray(p).ravel()]).reshape(np.shape(p))
+        """:meth:`quantile` over an array."""
 
     def _check_quantile_domain(self, p: float) -> None:
         if not (0.0 < p < 1.0):
@@ -317,20 +242,20 @@ class DiscreteLaw(Distribution):
     # -- queries -------------------------------------------------------
 
     def cdf(self, x: float) -> float:
-        return self.spectrum.cdf(x)
+        """F(x), right-continuous: a prefix lookup."""
+        idx = int(np.searchsorted(self.spectrum.values, x, side="right"))
+        return float(self.spectrum.mass_prefix[idx - 1]) if idx > 0 else 0.0
 
     def partial_expectation(self, x: float) -> float:
-        return self.spectrum.partial_expectation(x)
-
-    def survival(self, x: float) -> float:
-        return self.spectrum.survival(x)
-
-    def upper_partial_expectation(self, x: float) -> float:
-        return self.spectrum.upper_partial_expectation(x)
+        """G(x) = E[X * 1{X <= x}]: a prefix lookup."""
+        idx = int(np.searchsorted(self.spectrum.values, x, side="right"))
+        return float(self.spectrum.gain_prefix[idx - 1]) if idx > 0 else 0.0
 
     def quantile(self, p: float) -> float:
+        """Smallest support value with F >= p, for p in (0, 1)."""
         self._check_quantile_domain(p)
-        return self.spectrum.quantile(p)
+        idx = int(np.searchsorted(self.spectrum.mass_prefix, p, side="left"))
+        return float(self.spectrum.values[min(idx, self.spectrum.values.size - 1)])
 
     def min_mass(self) -> float:
         """f(R_min): probability mass at the support minimum."""
@@ -363,143 +288,18 @@ class DiscreteLaw(Distribution):
 
     def quantile_vec(self, p: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.spectrum.mass_prefix, np.asarray(p, dtype=np.float64), side="left")
-        idx = np.minimum(idx, self.spectrum.size - 1)
+        idx = np.minimum(idx, self.spectrum.values.size - 1)
         return self.spectrum.values[idx]
 
 
 class ContinuousLaw(Distribution):
-    """Base class for density-based laws.
+    """Base class for laws with a density.
 
-    Subclasses must provide :meth:`pdf` and should override ``cdf``,
-    ``partial_expectation`` and ``quantile`` with closed forms when they
-    exist; the defaults below fall back to adaptive quadrature
-    (absolute tolerance :data:`QUAD_TOLERANCE`) and bracketed root
-    finding, which are accurate but slow.
+    Subclasses supply closed-form ``cdf``, ``partial_expectation`` and
+    ``quantile`` and their ``_vec`` forms.
     """
 
     kind = "continuous"
-
-    @abstractmethod
-    def pdf(self, x: float) -> float:
-        """Probability density at x."""
-
-    # -- quadrature fallbacks -------------------------------------------
-
-    def cdf(self, x: float) -> float:
-        if x <= self.r_min:
-            return 0.0
-        if x >= self.r_max:
-            return 1.0
-        val, _ = integrate.quad(
-            self.pdf, self.r_min, x, epsabs=QUAD_TOLERANCE, epsrel=1e-12, limit=300
-        )
-        return min(max(val, 0.0), 1.0)
-
-    def partial_expectation(self, x: float) -> float:
-        if x <= self.r_min:
-            return 0.0
-        hi = min(x, self.r_max)
-        val, _ = integrate.quad(
-            lambda t: t * self.pdf(t), self.r_min, hi, epsabs=QUAD_TOLERANCE, epsrel=1e-12, limit=300
-        )
-        return val
-
-    def quantile(self, p: float) -> float:
-        self._check_quantile_domain(p)
-        lo, hi = self._quantile_bracket(p)
-        return float(optimize.brentq(lambda t: self.cdf(t) - p, lo, hi, xtol=1e-12, rtol=8.9e-16))
-
-    def _quantile_bracket(self, p: float) -> Tuple[float, float]:
-        """Expand around the mean until [lo, hi] brackets the p-quantile."""
-        scale = self.std
-        lo = self.mean - scale
-        hi = self.mean + scale
-        for _ in range(200):
-            if self.cdf(lo) < p or lo <= self.r_min:
-                break
-            lo = self.mean - (self.mean - lo) * 2.0
-        lo = max(lo, self.r_min)
-        for _ in range(200):
-            if self.cdf(hi) > p or hi >= self.r_max:
-                break
-            hi = self.mean + (hi - self.mean) * 2.0
-        hi = min(hi, self.r_max)
-        if not (self.cdf(lo) <= p <= self.cdf(hi)):
-            raise NumericalError(f"failed to bracket quantile p={p!r}")
-        return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# Standardized views
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StandardizedView:
-    """Mean-zero (Y) and standard-score (Z) views of a distribution.
-
-    With ``mu = dist.mean`` and ``sigma = dist.std``:
-
-        F_Y(T) = F_X(T + mu)
-        G_Y(T) = G_X(T + mu) - mu * F_X(T + mu)
-        F_Z(z) = F_Y(sigma * z)
-        G_Z(z) = G_Y(sigma * z) / sigma
-    """
-
-    dist: Distribution
-
-    @property
-    def mu(self) -> float:
-        return self.dist.mean
-
-    @property
-    def sigma(self) -> float:
-        return self.dist.std
-
-    def cdf_y(self, t: float) -> float:
-        return self.dist.cdf(t + self.mu)
-
-    def partial_expectation_y(self, t: float) -> float:
-        x = t + self.mu
-        return self.dist.partial_expectation(x) - self.mu * self.dist.cdf(x)
-
-    def quantile_y(self, p: float) -> float:
-        return self.dist.quantile(p) - self.mu
-
-    def cdf_z(self, z: float) -> float:
-        return self.cdf_y(self.sigma * z)
-
-    def partial_expectation_z(self, z: float) -> float:
-        return self.partial_expectation_y(self.sigma * z) / self.sigma
-
-    def quantile_z(self, p: float) -> float:
-        return self.quantile_y(p) / self.sigma
-
-
-# ---------------------------------------------------------------------------
-# Free-function forms of the query operations
-# ---------------------------------------------------------------------------
-
-
-def cdf(dist: Distribution, x: float) -> float:
-    """F_X(x) = P(X <= x)."""
-    return dist.cdf(x)
-
-
-def partial_expectation(dist: Distribution, x: float) -> float:
-    """G_X(x) = E[X * 1{X <= x}]."""
-    return dist.partial_expectation(x)
-
-
-def conditional_expectations(dist: Distribution, x: float) -> Tuple[Optional[float], Optional[float]]:
-    """(E[X | X <= x], E[X | X > x]); ``None`` marks an undefined branch."""
-    return dist.conditional_expectations(x)
-
-
-def quantile(dist: Distribution, p: float) -> float:
-    """Inverse cdf: continuous laws solve F(x) = p; discrete laws return
-    the smallest support value with F >= p."""
-    return dist.quantile(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Concrete distribution models.
 
-Every model ships closed-form ``cdf`` ``F`` and partial expectation
-``G`` (and quantile where invertible) so that sweeps over millions of
-layer counts stay O(1) per query; the quadrature fallback in
-:mod:`thqaoa.dist_core` is only a verification oracle for these forms.
+Every model ships closed-form ``cdf`` ``F``, partial expectation ``G``
+and quantile, so that sweeps over millions of layer counts stay O(1)
+per query.
 
 Models
 ------
@@ -78,25 +77,13 @@ class NormalLaw(ContinuousLaw):
     def _z(self, x):
         return (np.asarray(x, dtype=np.float64) - self.u) / self.s
 
-    def pdf(self, x: float) -> float:
-        z = (x - self.u) / self.s
-        return math.exp(-0.5 * z * z) / (_SQRT_2PI * self.s)
-
     def cdf(self, x: float) -> float:
         return float(special.ndtr((x - self.u) / self.s))
-
-    def survival(self, x: float) -> float:
-        return float(special.ndtr(-(x - self.u) / self.s))
 
     def partial_expectation(self, x: float) -> float:
         z = (x - self.u) / self.s
         phi = math.exp(-0.5 * z * z) / _SQRT_2PI
         return self.u * float(special.ndtr(z)) - self.s * phi
-
-    def upper_partial_expectation(self, x: float) -> float:
-        z = (x - self.u) / self.s
-        phi = math.exp(-0.5 * z * z) / _SQRT_2PI
-        return self.u * float(special.ndtr(-z)) + self.s * phi
 
     def quantile(self, p: float) -> float:
         self._check_quantile_domain(p)
@@ -149,33 +136,15 @@ class ReflectedGammaLaw(ContinuousLaw):
         self.r_min = -math.inf
         self.r_max = 0.0
 
-    def pdf(self, x: float) -> float:
-        if x >= 0.0:
-            return 0.0
-        w = -x
-        return math.exp(
-            self.a * math.log(self.b) + (self.a - 1.0) * math.log(w) - self.b * w - math.lgamma(self.a)
-        )
-
     def cdf(self, x: float) -> float:
         if x >= 0.0:
             return 1.0
         return float(special.gammaincc(self.a, -self.b * x))
 
-    def survival(self, x: float) -> float:
-        if x >= 0.0:
-            return 0.0
-        return float(special.gammainc(self.a, -self.b * x))
-
     def partial_expectation(self, x: float) -> float:
         if x >= 0.0:
             return self.mean
         return -(self.a / self.b) * float(special.gammaincc(self.a + 1.0, -self.b * x))
-
-    def upper_partial_expectation(self, x: float) -> float:
-        if x >= 0.0:
-            return 0.0
-        return -(self.a / self.b) * float(special.gammainc(self.a + 1.0, -self.b * x))
 
     def quantile(self, p: float) -> float:
         self._check_quantile_domain(p)
@@ -256,11 +225,6 @@ class ReflectedParetoLaw(ContinuousLaw):
         self.std = self.x_m * math.sqrt(alpha / self.eps) / (alpha - 1.0)
         self.r_min = -math.inf
         self.r_max = -self.x_m
-
-    def pdf(self, x: float) -> float:
-        if x > -self.x_m:
-            return 0.0
-        return self.alpha * self.x_m**self.alpha * (-x) ** (-self.alpha - 1.0)
 
     def cdf(self, x: float) -> float:
         if x >= -self.x_m:

@@ -37,7 +37,7 @@ from ._backend import BACKEND, evolve
 from .dist_core import DiscreteLaw, Distribution
 from .dist_models import NormalLaw
 from .errors import DomainError, NumericalError
-from .grover_kernel import AngleSchedule
+from .grover_kernel import AngleSchedule, _check_rounds
 
 __all__ = [
     "CollapsedState",
@@ -289,11 +289,9 @@ def optimize_angles(
     a non-increasing sequence.
     """
     law = _require_discrete(dist)
-    if int(r) != r or r < 1:
-        raise DomainError(f"layer count must be a positive integer, got {r!r}")
+    r = _check_rounds(r)
     if restarts < 1:
         raise DomainError(f"restarts must be at least 1, got {restarts!r}")
-    r = int(r)
     if warm_start is not None and warm_start.r > r:
         raise DomainError(
             f"warm start has {warm_start.r} layers, more than the requested {r}"

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .dist_core import DiscreteLaw, Distribution
 from .errors import DomainError
 from .grover_kernel import (
+    _check_rounds,
     amplification_ratio,
     grover_probability,
     grover_probability_vec,
@@ -111,12 +112,6 @@ class ThresholdCurve:
             elif seen_rise:
                 violations += 1
         return violations
-
-
-def _check_rounds(r: int) -> int:
-    if int(r) != r or r < 1:
-        raise DomainError(f"round count must be a positive integer, got {r!r}")
-    return int(r)
 
 
 def expectation_at_threshold(dist: Distribution, r: int, t: float) -> float:
@@ -222,6 +217,27 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
     return ThresholdCurve(r=r, thresholds=ts, f_values=rho, expectations=e, scores=scores)
 
 
+def _golden_section_argmin(value_at: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Golden-section search for the minimizer of a unimodal function.
+
+    Shrinks ``[a, b]`` until it is at most ``tol`` wide and returns the
+    interior point with the smaller value (the left one on ties).
+    """
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = value_at(c), value_at(d)
+    while (b - a) > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = value_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = value_at(d)
+    return c if fc <= fd else d
+
+
 def _optimize_discrete(law: DiscreteLaw, r: int) -> float:
     """Optimal threshold over a discrete support.
 
@@ -255,20 +271,7 @@ def _optimize_continuous(dist: Distribution, r: int) -> float:
     def value_at(v: float) -> float:
         return expectation_at_threshold(dist, r, dist.quantile(math.exp(v)))
 
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = value_at(c), value_at(d)
-    while (b - a) > CONTINUOUS_SEARCH_TOLERANCE:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = value_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = value_at(d)
-    v_best = c if fc <= fd else d
+    v_best = _golden_section_argmin(value_at, lo, hi, CONTINUOUS_SEARCH_TOLERANCE)
     candidates = [math.exp(v_best), rho_th, math.exp(lo)]
     best_u = min(candidates, key=lambda u: expectation_at_threshold(dist, r, dist.quantile(u)))
     return dist.quantile(best_u)

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "GroverParams",
     "AngleSchedule",
     "threshold_ratio",
     "grover_probability",
@@ -41,19 +40,6 @@ __all__ = [
 
 #: Largest layer count accepted by the polynomial form (conditioning limit).
 POLY_MAX_ROUNDS = 30
-
-
-@dataclass(frozen=True)
-class GroverParams:
-    """A (layer count, marked ratio) pair."""
-
-    r: int
-    rho: float
-
-    def __post_init__(self):
-        _check_rounds(self.r)
-        if not (0.0 <= self.rho <= 1.0):
-            raise DomainError(f"marked ratio must lie in [0, 1], got {self.rho!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +66,7 @@ class AngleSchedule:
 
 def _check_rounds(r) -> int:
     if int(r) != r or r < 1:
-        raise DomainError(f"layer count must be a positive integer, got {r!r}")
+        raise DomainError(f"round count must be a positive integer, got {r!r}")
     return int(r)
 
 

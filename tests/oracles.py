@@ -257,13 +257,11 @@ def fraction_spectrum(values: Sequence[float], counts: Sequence[int]) -> Dict[st
         cum_gain += x * c
         mass_prefix.append(float(Fraction(cum_count, total)))
         gain_prefix.append(float(cum_gain / total))
-    mass_suffix, gain_suffix = [], []
-    cum_count, cum_gain = 0, Fraction(0)
-    for x, c in zip(reversed(exact), reversed(counts)):
+    mass_suffix = []
+    cum_count = 0
+    for c in reversed(counts):
         cum_count += c
-        cum_gain += x * c
         mass_suffix.append(float(Fraction(cum_count, total)))
-        gain_suffix.append(float(cum_gain / total))
     mean = sum(x * c for x, c in zip(exact, counts)) / total
     second = sum(x * x * c for x, c in zip(exact, counts)) / total
     return {
@@ -271,7 +269,6 @@ def fraction_spectrum(values: Sequence[float], counts: Sequence[int]) -> Dict[st
         "mass_prefix": mass_prefix,
         "gain_prefix": gain_prefix,
         "mass_suffix": mass_suffix[::-1],
-        "gain_suffix": gain_suffix[::-1],
         "mean": mean,
         "var": second - mean * mean,
     }

@@ -247,6 +247,11 @@ def test_missing_config_file(capsys):
         ["curve", "--dist", "normal:0,1", "--r", "1", "--grid", "support"],
         ["crs", "--dist", "twopoint:0.2", "--r", "1", "--method", "blom"],
         ["frobnicate"],  # unknown subcommand
+        ["threshold", "--dist", "knn:4", "--r", "1", "--t", "nan"],  # NaN threshold
+        ["threshold", "--dist", "normal:0,1", "--r", "1", "--t", "nan"],
+        ["curve", "--dist", "normal:0,1", "--r", "1", "--grid", "list:nan,1"],
+        ["crs", "--dist", "binomial:nan,0.5", "--r", "1"],  # NaN law parameter
+        ["pr", "--r", "linspace:1,2,nan", "--rho", "0.1"],  # NaN round spec
     ],
 )
 def test_config_errors_exit_two(capsys, argv):

@@ -1,4 +1,4 @@
-"""Distribution layer: spectra, queries, standardized views, discretization."""
+"""Distribution layer: spectra, queries, discretization."""
 
 import math
 
@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thqaoa.dist_core import (
-    DiscreteSpectrum,
-    StandardizedView,
-    conditional_expectations,
-    discretize_equal_mass,
-)
+from thqaoa.dist_core import DiscreteSpectrum, discretize_equal_mass
 from thqaoa.dist_models import (
     make_binomial,
     make_empirical,
@@ -88,7 +83,7 @@ def test_from_multiplicities_huge_counts_keep_relative_precision():
 
 
 # ---------------------------------------------------------------------------
-# cdf / partial expectation / conditional expectations / quantile
+# cdf / partial expectation / quantile
 # ---------------------------------------------------------------------------
 
 
@@ -126,16 +121,6 @@ def test_partial_expectation_saturates_at_mean(law):
     assert law.partial_expectation(hi + 1.0) == pytest.approx(law.mean, abs=1e-9)
 
 
-def test_conditional_expectations_undefined_markers():
-    law = make_empirical([(-1.0, 1), (2.0, 1)])
-    lower, upper = conditional_expectations(law, -5.0)  # F = 0
-    assert lower is None and upper == pytest.approx(0.5)
-    lower, upper = conditional_expectations(law, 5.0)  # F = 1
-    assert lower == pytest.approx(0.5) and upper is None
-    lower, upper = conditional_expectations(law, -1.0)
-    assert lower == pytest.approx(-1.0) and upper == pytest.approx(2.0)
-
-
 @given(st.floats(min_value=0.001, max_value=0.999), st.integers(0, 2**31))
 @settings(max_examples=60, deadline=None)
 def test_discrete_quantile_is_smallest_value_reaching_p(p, seed):
@@ -158,42 +143,6 @@ def test_quantile_domain_validation():
     for p in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(DomainError):
             law.quantile(p)
-
-
-# ---------------------------------------------------------------------------
-# Standardized views: the four pointwise identities
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "law", CONTINUOUS_LAWS + DISCRETE_LAWS, ids=lambda l: type(l).__name__
-)
-def test_standardized_view_identities(law):
-    view = StandardizedView(law)
-    mu, sigma = law.mean, law.std
-    lo = law.quantile(0.01) - mu
-    hi = law.quantile(0.99) - mu
-    for t in np.linspace(lo, hi, 9):
-        t = float(t)
-        assert view.cdf_y(t) == pytest.approx(law.cdf(t + mu), abs=1e-12)
-        assert view.partial_expectation_y(t) == pytest.approx(
-            law.partial_expectation(t + mu) - mu * law.cdf(t + mu), abs=1e-12
-        )
-        z = t / sigma
-        assert view.cdf_z(z) == pytest.approx(view.cdf_y(sigma * z), abs=1e-12)
-        assert view.partial_expectation_y(t) == pytest.approx(
-            sigma * view.partial_expectation_z(t / sigma), abs=1e-12
-        )
-
-
-def test_standardized_view_of_normal_is_standard_normal():
-    view = StandardizedView(make_normal(7.0, 3.0))
-    std = make_normal(0.0, 1.0)
-    for z in (-2.0, -0.5, 0.0, 1.3):
-        assert view.cdf_z(z) == pytest.approx(std.cdf(z), abs=1e-13)
-        assert view.partial_expectation_z(z) == pytest.approx(
-            std.partial_expectation(z), abs=1e-13
-        )
 
 
 # ---------------------------------------------------------------------------

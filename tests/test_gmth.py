@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thqaoa import gmqaoa
-from thqaoa.dist_models import make_empirical, make_normal, make_two_point
+from thqaoa.bounds import c_th
+from thqaoa.dist_models import ReflectedParetoLaw, make_empirical, make_normal, make_two_point
 from thqaoa.errors import DomainError
 from thqaoa.gmth import (
     ThresholdCurve,
@@ -229,6 +230,31 @@ def test_optimum_score_grows_with_rounds():
     norm = make_normal(0.0, 1.0)
     scores = [optimize_threshold(norm, r).C_r for r in (1, 2, 4, 8, 16)]
     assert all(b > a for a, b in zip(scores, scores[1:]))
+
+
+# Golden-section results as float.hex, recorded when the threshold search
+# and c_th each had their own copy of the loop; the shared helper must
+# reproduce them bit for bit.
+_PINNED_C_TH = {
+    1: ("0x1.2bec32e8d44acp-3", "0x1.0000000000001p+1"),
+    7: ("0x1.8b3a15651ecb4p-8", "0x1.5ab9d91cd9521p+3"),
+    50: ("0x1.1748aa2ccc1c2p-13", "0x1.24b90a83350a1p+6"),
+}
+_PINNED_T_OPT = [
+    (make_normal(0.0, 1.0), 1, "-0x1.c0f92aa84e57fp-1"),
+    (make_normal(0.0, 1.0), 1000, "-0x1.36d22e906c224p+2"),
+    (make_normal(0.0, 1.0), 10**6, "-0x1.c6a27e78762b5p+2"),
+    (ReflectedParetoLaw(18.0, 1.0), 1, "-0x1.192d98845e1ecp+0"),
+    (ReflectedParetoLaw(18.0, 1.0), 100, "-0x1.a23a0222f8e4cp+0"),
+]
+
+
+def test_golden_section_optima_bit_pinned():
+    for r, (rho_hex, score_hex) in _PINNED_C_TH.items():
+        rho_star, score = c_th(r)
+        assert (rho_star.hex(), score.hex()) == (rho_hex, score_hex), r
+    for law, r, t_hex in _PINNED_T_OPT:
+        assert optimize_threshold(law, r).t_opt.hex() == t_hex, (type(law).__name__, r)
 
 
 # ---------------------------------------------------------------------------

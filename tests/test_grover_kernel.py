@@ -13,7 +13,6 @@ from thqaoa.errors import DomainError
 from thqaoa.grover_kernel import (
     POLY_MAX_ROUNDS,
     AngleSchedule,
-    GroverParams,
     amplification_ratio,
     grover_probability,
     grover_probability_poly,
@@ -186,11 +185,6 @@ def test_amplification_cap_and_saturation():
 
 
 def test_params_and_schedule_validation():
-    GroverParams(3, 0.5)  # fine
-    with pytest.raises(DomainError):
-        GroverParams(0, 0.5)
-    with pytest.raises(DomainError):
-        GroverParams(2, 1.5)
     with pytest.raises(DomainError):
         AngleSchedule((0.1, 0.2), (0.3,))
     with pytest.raises(DomainError):
