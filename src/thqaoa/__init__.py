@@ -39,7 +39,6 @@ from ._backend import BACKEND
 from .baselines import (
     BLOM_CONTINUITY_CONSTANT,
     DEFAULT_EFFORT_FACTOR,
-    CrsResult,
     crs_blom,
     crs_expected_min,
     crs_monte_carlo,
@@ -197,7 +196,6 @@ __all__ = [
     "read_edge_list",
     "min_rounds_for_ratio",
     # classical baseline
-    "CrsResult",
     "crs_blom",
     "crs_expected_min",
     "crs_monte_carlo",

@@ -17,8 +17,7 @@ draws.  Three evaluators are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import integrate, special
@@ -28,7 +27,6 @@ from .errors import DomainError, NumericalError
 from .grover_kernel import _check_rounds
 
 __all__ = [
-    "CrsResult",
     "BLOM_CONTINUITY_CONSTANT",
     "DEFAULT_EFFORT_FACTOR",
     "crs_blom",
@@ -49,21 +47,6 @@ _MC_CHUNK_TRIALS = 4096
 
 #: Cap on random numbers materialized at once inside a chunk.
 _MC_BLOCK_BUDGET = 1 << 24
-
-
-@dataclass(frozen=True)
-class CrsResult:
-    """Expected-minimum estimate of classical random sampling.
-
-    ``samples`` is the draw count ``k``; ``method`` is one of
-    ``"blom"``, ``"integral"``, ``"monte_carlo"``; ``stderr`` is only
-    present for Monte Carlo.
-    """
-
-    samples: int
-    expected_minimum: float
-    method: str
-    stderr: Optional[float] = None
 
 
 def _check_samples(k: int) -> int:

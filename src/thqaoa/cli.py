@@ -33,9 +33,14 @@ Round specs (``--r``): an explicit comma list ``1,5,100``;
 ``pow2:den,xmax`` for the log grid ``ceil(2^(x/den))``, x = 0..xmax,
 deduplicated.
 
+A threshold of minus infinity is written ``--t=-inf``: argparse reads a
+separate ``-inf`` as an option name.
+
 A key=value config file (``--config``) may supply any long option of
-the chosen subcommand (dashes as underscores, ``#`` comments); flags
-given on the command line win; unknown keys are rejected.
+the chosen subcommand except ``--out`` and ``--config`` (dashes as
+underscores, ``#`` comments).  Its values pass the same type and choice
+checks as flags; flags given on the command line win; unknown keys are
+rejected.
 """
 
 from __future__ import annotations
@@ -46,13 +51,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import baselines, bounds, figures, gmqaoa, gmth, maxcut
 from .dist_core import DiscreteLaw, Distribution, discretize_equal_mass
 from .dist_models import (
+    EmpiricalLaw,
     NormalLaw,
     empirical_from_file,
     make_binomial,
@@ -61,7 +67,7 @@ from .dist_models import (
     make_reflected_pareto,
     make_two_point,
 )
-from .errors import ConfigError, DomainError, NumericalError, ThqaoaError
+from .errors import ConfigError, DomainError, ThqaoaError
 from .grover_kernel import (
     POLY_MAX_ROUNDS,
     grover_probability,
@@ -87,9 +93,9 @@ class ExperimentConfig:
     """
 
     subcommand: str
-    options: Dict[str, object]
+    options: Dict[str, Any]
 
-    def __getitem__(self, key: str) -> object:
+    def __getitem__(self, key: str) -> Any:
         return self.options[key]
 
 
@@ -240,16 +246,8 @@ def _parse_grid(spec: str):
 def _format_cell(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, np.integer):
-        value = int(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -305,7 +303,7 @@ def _cmd_kappa(cfg: ExperimentConfig):
 
 
 def _cmd_cthr(cfg: ExperimentConfig):
-    rounds = _parse_rounds(str(cfg["r"]))
+    rounds = _parse_rounds(cfg["r"])
     rows = []
     for r in rounds:
         rho_star, cth = bounds.c_th(r)
@@ -314,8 +312,8 @@ def _cmd_cthr(cfg: ExperimentConfig):
 
 
 def _cmd_pr(cfg: ExperimentConfig):
-    rounds = _parse_rounds(str(cfg["r"]))
-    rhos = _parse_rho(str(cfg["rho"]))
+    rounds = _parse_rounds(cfg["r"])
+    rhos = _parse_rho(cfg["rho"])
     rows = []
     for r in rounds:
         rho_th = threshold_ratio(r)
@@ -328,25 +326,22 @@ def _cmd_pr(cfg: ExperimentConfig):
 
 
 def _cmd_threshold(cfg: ExperimentConfig):
-    dist = _parse_dist(str(cfg["dist"]))
-    r = _parse_single_round(str(cfg["r"]))
-    t = cfg["t"]
-    if t is not None and math.isnan(t):  # type: ignore[arg-type]
-        raise ConfigError(f"--t expects a number, got {t!r}")
-    if t is None:
+    dist = _parse_dist(cfg["dist"])
+    r = _parse_single_round(cfg["r"])
+    if cfg["t"] is None:
         report = gmth.optimize_threshold(dist, r)
     else:
-        report = gmth.threshold_report(dist, r, float(t))  # type: ignore[arg-type]
+        report = gmth.threshold_report(dist, r, cfg["t"])
     return _REPORT_HEADER, [_report_row(report)]
 
 
 def _cmd_curve(cfg: ExperimentConfig):
-    dist = _parse_dist(str(cfg["dist"]))
-    r = _parse_single_round(str(cfg["r"]))
+    dist = _parse_dist(cfg["dist"])
+    r = _parse_single_round(cfg["r"])
     grid_spec = cfg["grid"]
     if grid_spec is None:
         grid_spec = "support" if isinstance(dist, DiscreteLaw) else "2000"
-    curve = gmth.threshold_curve(dist, r, _parse_grid(str(grid_spec)))
+    curve = gmth.threshold_curve(dist, r, _parse_grid(grid_spec))
     rows = [
         (r, t, f_t, e_r, c_r)
         for t, f_t, e_r, c_r in zip(
@@ -357,38 +352,33 @@ def _cmd_curve(cfg: ExperimentConfig):
 
 
 def _cmd_sweep(cfg: ExperimentConfig):
-    dist = _parse_dist(str(cfg["dist"]))
-    rounds = _parse_rounds(str(cfg["r"]))
+    dist = _parse_dist(cfg["dist"])
+    rounds = _parse_rounds(cfg["r"])
     rows = [_report_row(gmth.optimize_threshold(dist, r)) for r in rounds]
     return _REPORT_HEADER, rows
 
 
 def _cmd_gmqaoa(cfg: ExperimentConfig):
-    dist = _parse_dist(str(cfg["dist"]))
+    dist = _parse_dist(cfg["dist"])
     if not isinstance(dist, DiscreteLaw):
-        dist = discretize_equal_mass(dist, int(cfg["bins"]))  # type: ignore[arg-type]
-    rounds = _parse_rounds(str(cfg["r"]))
-    restarts = int(cfg["restarts"])  # type: ignore[arg-type]
-    seed = int(cfg["seed"])  # type: ignore[arg-type]
+        dist = discretize_equal_mass(dist, cfg["bins"])
+    rounds = _parse_rounds(cfg["r"])
     rows = []
     schedule = None
     for r in rounds:
         warm = schedule if schedule is not None and schedule.r <= r else None
         schedule, e_opt = gmqaoa.optimize_angles(
-            dist, r, restarts=restarts, seed=seed, warm_start=warm
+            dist, r, restarts=cfg["restarts"], seed=cfg["seed"], warm_start=warm
         )
         rows.append((r, e_opt, (dist.mean - e_opt) / dist.std, dist.cdf(e_opt)))
     return ("r", "e_opt", "c", "quantile"), rows
 
 
 def _cmd_bound(cfg: ExperimentConfig):
-    dist = _parse_dist(str(cfg["dist"]))
-    rounds = _parse_rounds(str(cfg["r"]))
-    tail_l = cfg["tail_l"]
+    dist = _parse_dist(cfg["dist"])
+    rounds = _parse_rounds(cfg["r"])
     # One call for all r: the two round counts depend on the law alone.
-    reports = bounds._floor_reports(
-        dist, rounds, L=None if tail_l is None else float(tail_l)  # type: ignore[arg-type]
-    )
+    reports = bounds._floor_reports(dist, rounds, L=cfg["tail_l"])
     rows = [
         (
             report.r,
@@ -415,68 +405,65 @@ def _cmd_bound(cfg: ExperimentConfig):
     ), rows
 
 
-def _spectrum_rows(law) -> List[Tuple[object, ...]]:
-    rows = []
-    cdf = 0.0
-    counts = getattr(law, "multiplicities", None)
-    for idx, value in enumerate(law.spectrum.values):
-        mass = float(law.spectrum.masses[idx])
-        cdf = float(law.spectrum.mass_prefix[idx])
-        count = counts[idx] if counts is not None else None
-        rows.append((float(value), count, mass, cdf))
-    return rows
+def _spectrum_rows(law: EmpiricalLaw) -> List[Tuple[object, ...]]:
+    spectrum = law.spectrum
+    return [
+        (float(value), count, float(mass), float(cdf))
+        for value, count, mass, cdf in zip(
+            spectrum.values, law.multiplicities, spectrum.masses, spectrum.mass_prefix
+        )
+    ]
 
 
 def _cmd_maxcut(cfg: ExperimentConfig):
     lam = cfg["lam"]
-    frame = str(cfg["frame"])
+    frame = cfg["frame"]
     if lam is not None:
         if cfg["graph"] is not None:
             raise ConfigError(
                 "--graph selects spectrum mode and --lam the K_{n,n} round search; give one, not both"
             )
-        bound_kind = str(cfg["bound_kind"])
-        if cfg["n_range"] is not None:
-            parts = str(cfg["n_range"]).split(",")
+        bound_kind = cfg["bound_kind"]
+        n_range = cfg["n_range"]
+        if n_range is not None:
+            parts = n_range.split(",")
             if len(parts) != 2:
-                raise ConfigError(f"--n-range expects lo,hi, got {cfg['n_range']!r}")
+                raise ConfigError(f"--n-range expects lo,hi, got {n_range!r}")
             try:
                 n_lo, n_hi = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ConfigError(f"--n-range expects integers, got {cfg['n_range']!r}") from None
+                raise ConfigError(f"--n-range expects integers, got {n_range!r}") from None
             if n_lo > n_hi:
-                raise ConfigError(f"--n-range must be ascending, got {cfg['n_range']!r}")
-            n_values = range(n_lo, n_hi + 1)
+                raise ConfigError(f"--n-range must be ascending, got {n_range!r}")
+            n_values: Sequence[int] = range(n_lo, n_hi + 1)
         elif cfg["n"] is not None:
-            n_values = [int(cfg["n"])]  # type: ignore[list-item]
+            n_values = [cfg["n"]]
         else:
             raise ConfigError("minimum-round search needs --n or --n-range")
         rows = []
         for n in n_values:
             try:
-                r: Optional[int] = maxcut.min_rounds_for_ratio(n, float(lam), bound_kind)  # type: ignore[arg-type]
+                r: Optional[int] = maxcut.min_rounds_for_ratio(n, lam, bound_kind)
             except DomainError as exc:
                 if "not reached within" not in str(exc):
                     raise
                 r = None
-            rows.append((n, float(lam), bound_kind, r))  # type: ignore[arg-type]
+            rows.append((n, lam, bound_kind, r))
         return ("n", "lam", "bound_kind", "r"), rows
     if cfg["graph"] is not None:
-        law = maxcut.brute_force_spectrum(maxcut.read_edge_list(str(cfg["graph"])), frame=frame)
+        law = maxcut.brute_force_spectrum(maxcut.read_edge_list(cfg["graph"]), frame=frame)
     elif cfg["n"] is not None:
-        law = maxcut.knn_spectrum(int(cfg["n"]), frame=frame)  # type: ignore[arg-type]
+        law = maxcut.knn_spectrum(cfg["n"], frame=frame)
     else:
         raise ConfigError("spectrum mode needs --n (K_{n,n}) or --graph (edge list)")
     return ("value", "count", "mass", "cdf"), _spectrum_rows(law)
 
 
 def _cmd_crs(cfg: ExperimentConfig):
-    dist = _parse_dist(str(cfg["dist"]))
-    rounds = _parse_rounds(str(cfg["r"]))
-    method = str(cfg["method"])
-    effort = int(cfg["effort_factor"])  # type: ignore[arg-type]
-    if effort < 1:
-        raise ConfigError(f"--effort-factor must be >= 1, got {effort}")
+    dist = _parse_dist(cfg["dist"])
+    rounds = _parse_rounds(cfg["r"])
+    method = cfg["method"]
+    effort = cfg["effort_factor"]
     rows = []
     for r in rounds:
         k = effort * r
@@ -488,20 +475,14 @@ def _cmd_crs(cfg: ExperimentConfig):
         elif method == "integral":
             e_min = baselines.crs_expected_min(dist, k)
             stderr = None
-        elif method == "monte_carlo":
-            e_min, stderr = baselines.crs_monte_carlo(
-                dist, k, int(cfg["trials"]), int(cfg["seed"])  # type: ignore[arg-type]
-            )
-        else:
-            raise ConfigError(
-                f"--method must be blom, integral, or monte_carlo, got {method!r}"
-            )
+        else:  # monte_carlo
+            e_min, stderr = baselines.crs_monte_carlo(dist, k, cfg["trials"], cfg["seed"])
         rows.append((r, k, e_min, stderr, method))
     return ("r", "k", "e_min", "stderr", "method"), rows
 
 
 def _cmd_reproduce(cfg: ExperimentConfig):
-    target = str(cfg["target"])
+    target = cfg["target"]
     generator = figures.FIGURE_GENERATORS.get(target)
     if generator is None:
         raise ConfigError(
@@ -524,136 +505,137 @@ _HANDLERS = {
     "reproduce": _cmd_reproduce,
 }
 
-# Built-in defaults per subcommand; None means "no value" (required
-# options validate inside the handler or parser).
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "kappa": {},
-    "cthr": {"r": "linspace:1,50,50"},
-    "pr": {"r": None, "rho": None},
-    "threshold": {"dist": None, "r": None, "t": None},
-    "curve": {"dist": None, "r": None, "grid": None},
-    "sweep": {"dist": None, "r": None},
-    "gmqaoa": {"dist": None, "r": None, "bins": 10_000, "restarts": 20, "seed": 0},
-    "bound": {"dist": None, "r": None, "tail_l": None},
-    "maxcut": {
-        "n": None,
-        "n_range": None,
-        "graph": None,
-        "frame": "y",
-        "lam": None,
-        "bound_kind": "max_amplification",
-    },
-    "crs": {
-        "dist": None,
-        "r": None,
-        "method": "integral",
-        "trials": 100_000,
-        "seed": 0,
-        "effort_factor": baselines.DEFAULT_EFFORT_FACTOR,
-    },
-    "reproduce": {"target": None},
-}
 
-_REQUIRED: Dict[str, Tuple[str, ...]] = {
-    "pr": ("r", "rho"),
-    "threshold": ("dist", "r"),
-    "curve": ("dist", "r"),
-    "sweep": ("dist", "r"),
-    "gmqaoa": ("dist", "r"),
-    "bound": ("dist", "r"),
-    "crs": ("dist", "r"),
+# --------------------------------------------------------------------------
+# options: one table drives the parser, config files, defaults and
+# required checks
+
+
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool], expected: str):
+    """An argparse type: ``convert`` the text, then reject values failing ``ok``."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_NUMBER = _checked(float, lambda v: not math.isnan(v), "a number")  # +-inf allowed
+_SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "a positive integer")
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One long option: ``--name`` on the command line, ``name`` in a config file.
+
+    ``type`` and ``choices`` check flags and config values alike; a
+    required option has no default and must come from one of the two.
+    """
+
+    name: str
+    help: str
+    type: Callable[[str], Any] = str
+    default: Any = None
+    required: bool = False
+    choices: Optional[Tuple[str, ...]] = None
+
+    def config_value(self, raw: str) -> Any:
+        try:
+            value = self.type(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"config key {self.name!r}: {exc}") from None
+        except ValueError:
+            raise ConfigError(f"config key {self.name!r} has invalid value {raw!r}") from None
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(
+                f"config key {self.name!r} has invalid value {raw!r} "
+                f"(choose from {', '.join(self.choices)})"
+            )
+        return value
+
+
+_DIST = _Option("dist", "distribution spec", required=True)
+_ROUNDS = _Option("r", "round spec", required=True)
+_ONE_ROUND = _Option("r", "single round count", required=True)
+
+# Subcommand -> (help, options), in the order the parser lists them.
+_COMMANDS: Dict[str, Tuple[str, Tuple[_Option, ...]]] = {
+    "pr": ("success-probability kernel tables", (
+        _ROUNDS,
+        _Option("rho", "marked fractions: comma list or geom:lo,hi,count", required=True),
+    )),
+    "threshold": ("single threshold report", (
+        _DIST,
+        _ONE_ROUND,
+        _Option("t", "threshold (default: optimized; minus infinity as --t=-inf)", _NUMBER),
+    )),
+    "curve": ("expectation along a threshold grid", (
+        _DIST,
+        _ONE_ROUND,
+        _Option("grid", "'support', integer resolution, or list:t1,t2,... "
+                "(default: support for discrete laws, 2000 otherwise)"),
+    )),
+    "sweep": ("optimized threshold reports across rounds", (_DIST, _ROUNDS)),
+    "cthr": ("maximal standard score per round count", (
+        _Option("r", "round spec (default 1..50)", default="linspace:1,50,50"),
+    )),
+    "kappa": ("asymptotic score-per-round constant", ()),
+    "gmqaoa": ("identity-compiled angle optimization", (
+        _DIST,
+        _ROUNDS,
+        _Option("bins", "equal-mass bins for continuous laws", int, 10_000),
+        _Option("restarts", "optimizer restarts", int, 20),
+        _Option("seed", "optimizer seed", _SEED, 0),
+    )),
+    "bound": ("amplification-floor bound reports", (
+        _DIST,
+        _ROUNDS,
+        _Option("tail_l", "tail constant for the quantile envelope (default: unscaled shape)", float),
+    )),
+    "maxcut": ("Max-Cut spectra and minimum-round searches", (
+        _Option("n", "part size for K_{n,n}", int),
+        _Option("n_range", "part-size sweep lo,hi"),
+        _Option("graph", "edge-list file for brute force"),
+        _Option("frame", "cost frame", default="y", choices=("y", "x")),
+        _Option("lam", "target approximation ratio", float),
+        _Option("bound_kind", "expectation model for round searches",
+                default="max_amplification", choices=("max_amplification", "gmth")),
+    )),
+    "crs": ("classical random-sampling baselines", (
+        _DIST,
+        _ROUNDS,
+        _Option("method", "estimator", default="integral",
+                choices=("blom", "integral", "monte_carlo")),
+        _Option("trials", "Monte Carlo trials", int, 100_000),
+        _Option("seed", "Monte Carlo seed", _SEED, 0),
+        _Option("effort_factor", "classical draws per round (default 2)", _POSITIVE_INT,
+                baselines.DEFAULT_EFFORT_FACTOR),
+    )),
+    "reproduce": ("pinned figure datasets", ()),
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="thqaoa", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="<subcommand>")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, add_help=True)
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
         p.add_argument("--config", default=None, help="key=value config file")
-        return p
-
-    p = add("pr", "success-probability kernel tables")
-    p.add_argument("--r", default=None, help="round spec")
-    p.add_argument("--rho", default=None, help="marked fractions: comma list or geom:lo,hi,count")
-
-    p = add("threshold", "single threshold report")
-    p.add_argument("--dist", default=None, help="distribution spec")
-    p.add_argument("--r", default=None, help="single round count")
-    p.add_argument("--t", default=None, type=float, help="threshold (default: optimized)")
-
-    p = add("curve", "expectation along a threshold grid")
-    p.add_argument("--dist", default=None, help="distribution spec")
-    p.add_argument("--r", default=None, help="single round count")
-    p.add_argument(
-        "--grid",
-        default=None,
-        help="'support', integer resolution, or list:t1,t2,... "
-        "(default: support for discrete laws, 2000 otherwise)",
-    )
-
-    p = add("sweep", "optimized threshold reports across rounds")
-    p.add_argument("--dist", default=None, help="distribution spec")
-    p.add_argument("--r", default=None, help="round spec")
-
-    p = add("cthr", "maximal standard score per round count")
-    p.add_argument("--r", default=None, help="round spec (default 1..50)")
-
-    add("kappa", "asymptotic score-per-round constant")
-
-    p = add("gmqaoa", "identity-compiled angle optimization")
-    p.add_argument("--dist", default=None, help="distribution spec")
-    p.add_argument("--r", default=None, help="round spec")
-    p.add_argument("--bins", default=None, type=int, help="equal-mass bins for continuous laws")
-    p.add_argument("--restarts", default=None, type=int, help="optimizer restarts")
-    p.add_argument("--seed", default=None, type=int, help="optimizer seed")
-
-    p = add("bound", "amplification-floor bound reports")
-    p.add_argument("--dist", default=None, help="distribution spec")
-    p.add_argument("--r", default=None, help="round spec")
-    p.add_argument(
-        "--tail-l",
-        dest="tail_l",
-        default=None,
-        type=float,
-        help="tail constant for the quantile envelope (default: unscaled shape)",
-    )
-
-    p = add("maxcut", "Max-Cut spectra and minimum-round searches")
-    p.add_argument("--n", default=None, type=int, help="part size for K_{n,n}")
-    p.add_argument("--n-range", dest="n_range", default=None, help="part-size sweep lo,hi")
-    p.add_argument("--graph", default=None, help="edge-list file for brute force")
-    p.add_argument("--frame", default=None, choices=("y", "x"), help="cost frame")
-    p.add_argument("--lam", default=None, type=float, help="target approximation ratio")
-    p.add_argument(
-        "--bound-kind",
-        dest="bound_kind",
-        default=None,
-        choices=("max_amplification", "gmth"),
-        help="expectation model for round searches",
-    )
-
-    p = add("crs", "classical random-sampling baselines")
-    p.add_argument("--dist", default=None, help="distribution spec")
-    p.add_argument("--r", default=None, help="round spec")
-    p.add_argument(
-        "--method", default=None, choices=("blom", "integral", "monte_carlo"), help="estimator"
-    )
-    p.add_argument("--trials", default=None, type=int, help="Monte Carlo trials")
-    p.add_argument("--seed", default=None, type=int, help="Monte Carlo seed")
-    p.add_argument(
-        "--effort-factor",
-        dest="effort_factor",
-        default=None,
-        type=int,
-        help="classical draws per round (default 2)",
-    )
-
-    p = add("reproduce", "pinned figure datasets")
-    p.add_argument("target", help="fig1..fig9")
-
+        # No argparse defaults: an absent flag stays None so that
+        # _merge_config can fall back to the config file, then the table.
+        for opt in options:
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, type=opt.type,
+                           choices=opt.choices, help=opt.help)
+        if name == "reproduce":
+            p.add_argument("target", help="fig1..fig9")
     return parser
 
 
@@ -674,52 +656,26 @@ def _load_config_file(path: str) -> Dict[str, str]:
     return pairs
 
 
-_CONFIG_COERCERS = {
-    "t": float,
-    "lam": float,
-    "tail_l": float,
-    "bins": int,
-    "restarts": int,
-    "seed": int,
-    "trials": int,
-    "n": int,
-    "effort_factor": int,
-}
-
-
 def _merge_config(ns: argparse.Namespace) -> ExperimentConfig:
     subcommand = ns.subcommand
-    defaults = dict(_DEFAULTS[subcommand])
-    if subcommand == "reproduce":
-        defaults["target"] = ns.target
+    table = _COMMANDS[subcommand][1]
     file_pairs: Dict[str, str] = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         file_pairs = _load_config_file(ns.config)
-        unknown = sorted(set(file_pairs) - set(defaults))
+        unknown = sorted(set(file_pairs) - {opt.name for opt in table})
         if unknown:
-            raise ConfigError(
-                f"unknown config key(s) for {subcommand!r}: {', '.join(unknown)}"
-            )
-    options: Dict[str, object] = {}
-    for key, built_in in defaults.items():
-        flag_value = getattr(ns, key, None)
-        if flag_value is not None:
-            options[key] = flag_value
-        elif key in file_pairs:
-            raw = file_pairs[key]
-            coerce = _CONFIG_COERCERS.get(key)
-            try:
-                options[key] = coerce(raw) if coerce else raw
-            except ValueError:
-                raise ConfigError(f"config key {key!r} has invalid value {raw!r}") from None
-        else:
-            options[key] = built_in
-    required = _REQUIRED.get(subcommand, ())
-    missing = [key for key in required if options.get(key) is None]
-    if missing:
-        raise ConfigError(
-            f"{subcommand} requires --{missing[0].replace('_', '-')}"
-        )
+            raise ConfigError(f"unknown config key(s) for {subcommand!r}: {', '.join(unknown)}")
+    options: Dict[str, Any] = {}
+    for opt in table:
+        value = getattr(ns, opt.name)
+        if value is None and opt.name in file_pairs:
+            value = opt.config_value(file_pairs[opt.name])
+        options[opt.name] = opt.default if value is None else value
+    for opt in table:
+        if opt.required and options[opt.name] is None:
+            raise ConfigError(f"{subcommand} requires --{opt.name.replace('_', '-')}")
+    if subcommand == "reproduce":
+        options["target"] = ns.target
     return ExperimentConfig(subcommand=subcommand, options=options)
 
 
@@ -731,16 +687,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _merge_config(ns)
         header, rows = _HANDLERS[cfg.subcommand](cfg)
         _write_csv(getattr(ns, "out", None), header, rows)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except ThqaoaError as exc:
+    except ThqaoaError as exc:  # NumericalError and any other package failure
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

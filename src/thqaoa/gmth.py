@@ -303,13 +303,7 @@ def certainty_threshold_cap(dist: Distribution, r: int) -> tuple:
     Returns ``(tau, E[X|X<=tau])``.
     """
     r = _check_rounds(r)
-    rho_th = threshold_ratio(r)
-    if isinstance(dist, DiscreteLaw):
-        idx = int(np.searchsorted(dist.spectrum.mass_prefix, rho_th, side="left"))
-        idx = min(idx, dist.spectrum.values.size - 1)
-        tau = float(dist.spectrum.values[idx])
-    else:
-        tau = dist.quantile(rho_th)
+    tau = dist.quantile(threshold_ratio(r))
     f = dist.cdf(tau)
     e_cap = dist.partial_expectation(tau) / f
     return tau, e_cap

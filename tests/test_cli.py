@@ -222,6 +222,69 @@ def test_config_coercion_failure(capsys, tmp_path):
     assert "restarts" in err
 
 
+@pytest.mark.parametrize(
+    "key, subcommand, text",
+    [
+        ("frame", "maxcut", "n = 3\nframe = z\n"),
+        ("bound_kind", "maxcut", "n = 4\nlam = 0.9\nbound_kind = bogus\n"),
+        ("method", "crs", "dist = twopoint:0.2\nr = 1\nmethod = bogus\n"),
+        ("seed", "gmqaoa", "dist = binomial:10,0.5\nr = 1\nrestarts = 2\nseed = -1\n"),
+        ("effort_factor", "crs", "dist = twopoint:0.2\nr = 1\neffort_factor = 0\n"),
+        ("t", "threshold", "dist = normal:0,1\nr = 1\nt = nan\n"),
+    ],
+    ids=lambda v: "" if "=" in v else v,
+)
+def test_invalid_config_values_fail_like_flags(capsys, tmp_path, key, subcommand, text):
+    # config values pass the option's own type and choices before any work starts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, subcommand, "--config", str(cfg))
+    assert code == 2
+    assert err.startswith(f"error: config: config key {key!r}")
+    assert out == ""
+
+
+# One invocation per subcommand (two for maxcut's exclusive modes); together
+# they set every option of the option table.
+ROUNDTRIP_CASES = [
+    ("pr", {"r": "1,3", "rho": "geom:0.001,0.2,4"}),
+    ("threshold", {"dist": "normal:0,1", "r": "2", "t": "-0.5"}),
+    ("curve", {"dist": "gamma:2,1", "r": "2", "grid": "30"}),
+    ("sweep", {"dist": "pareto:3,1", "r": "1,4"}),
+    ("cthr", {"r": "1,2,7"}),
+    ("gmqaoa", {"dist": "normal:0,1", "r": "1,2", "bins": "40", "restarts": "2", "seed": "3"}),
+    ("bound", {"dist": "normal:0,1", "r": "1,10", "tail_l": "0.5"}),
+    ("maxcut", {"graph": "GRAPH", "frame": "x"}),
+    ("maxcut", {"n": "4", "n_range": "3,5", "lam": "0.8", "bound_kind": "gmth"}),
+    (
+        "crs",
+        {"dist": "binomial:10,0.5", "r": "2", "method": "monte_carlo", "trials": "3000",
+         "seed": "4", "effort_factor": "3"},
+    ),
+]
+
+
+def test_roundtrip_cases_cover_every_option():
+    covered = {(sub, key) for sub, options in ROUNDTRIP_CASES for key in options}
+    table = {(sub, opt.name) for sub, (_, opts) in cli._COMMANDS.items() for opt in opts}
+    assert covered == table
+
+
+@pytest.mark.parametrize("subcommand, options", ROUNDTRIP_CASES, ids=lambda c: c if isinstance(c, str) else "")
+def test_config_file_matches_flags(capsys, tmp_path, subcommand, options):
+    graph = tmp_path / "tri.txt"
+    graph.write_text("0 1\n1 2\n0 2\n")
+    options = {k: str(graph) if v == "GRAPH" else v for k, v in options.items()}
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+    code, from_flags, err = run_cli(capsys, subcommand, *flags)
+    assert code == 0, err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+    code, from_config, err = run_cli(capsys, subcommand, "--config", str(cfg))
+    assert code == 0, err
+    assert from_config == from_flags
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "pr", "--config", "/does/not/exist.cfg")
     assert code == 2
@@ -252,6 +315,9 @@ def test_missing_config_file(capsys):
         ["curve", "--dist", "normal:0,1", "--r", "1", "--grid", "list:nan,1"],
         ["crs", "--dist", "binomial:nan,0.5", "--r", "1"],  # NaN law parameter
         ["pr", "--r", "linspace:1,2,nan", "--rho", "0.1"],  # NaN round spec
+        ["gmqaoa", "--dist", "binomial:10,0.5", "--r", "1", "--restarts", "2", "--seed", "-1"],
+        ["crs", "--dist", "twopoint:0.2", "--r", "1", "--seed", "-1"],  # negative seed
+        ["crs", "--dist", "twopoint:0.2", "--r", "1", "--effort-factor", "0"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -272,6 +338,16 @@ def test_maxcut_graph_with_lam_rejected(capsys, tmp_path):
     assert err.startswith("error: ")
     assert "--graph" in err and "--lam" in err
     assert out == ""
+
+
+def test_minus_infinity_threshold_with_equals_form(capsys):
+    # argparse reads a separate "-inf" as an option, so the help names --t=-inf
+    code, out, _ = run_cli(capsys, "threshold", "--dist", "normal:0,1", "--r", "1", "--t=-inf")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0][REPORT_HEADER.index("t_opt")] == "-inf"
+    _, out, _ = run_cli(capsys, "threshold", "--help")
+    assert "--t=-inf" in out
 
 
 def test_numerical_error_exits_three(capsys, monkeypatch):
