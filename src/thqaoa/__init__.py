@@ -77,7 +77,7 @@ from .dist_models import (
     pareto_epsilon_for_exponent,
     pareto_limit_L,
 )
-from .errors import ConfigError, DomainError, NumericalError, ThqaoaError
+from .errors import ConfigError, ConvergenceWarning, DomainError, NumericalError, ThqaoaError
 from .gmqaoa import (
     CollapsedState,
     characteristic_function,
@@ -129,6 +129,7 @@ __all__ = [
     "DomainError",
     "NumericalError",
     "ConfigError",
+    "ConvergenceWarning",
     # distribution layer
     "Distribution",
     "DiscreteSpectrum",

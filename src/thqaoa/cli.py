@@ -426,6 +426,10 @@ def _cmd_maxcut(cfg: ExperimentConfig):
         bound_kind = cfg["bound_kind"]
         n_range = cfg["n_range"]
         if n_range is not None:
+            if cfg["n"] is not None:
+                raise ConfigError(
+                    "--n asks for one part size and --n-range for a sweep; give one, not both"
+                )
             parts = n_range.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"--n-range expects lo,hi, got {n_range!r}")
@@ -623,7 +627,8 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[_Option, ...]]] = {
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="thqaoa", description=__doc__, add_help=True)
+    parser = _Parser(prog="thqaoa", description=__doc__, add_help=True,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="<subcommand>")
     for name, (help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, add_help=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -276,15 +277,24 @@ class DiscreteLaw(Distribution):
 
     # -- vectorized ----------------------------------------------------
 
+    @cached_property
+    def _cdf_table(self) -> np.ndarray:
+        """``mass_prefix`` behind a leading 0, indexed by the count of
+        support values at or below x."""
+        return np.concatenate(([0.0], self.spectrum.mass_prefix))
+
+    @cached_property
+    def _gain_table(self) -> np.ndarray:
+        """``gain_prefix`` behind a leading 0, indexed like ``_cdf_table``."""
+        return np.concatenate(([0.0], self.spectrum.gain_prefix))
+
     def cdf_vec(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.spectrum.values, np.asarray(x, dtype=np.float64), side="right")
-        padded = np.concatenate(([0.0], self.spectrum.mass_prefix))
-        return padded[idx]
+        return self._cdf_table[idx]
 
     def partial_expectation_vec(self, x: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.spectrum.values, np.asarray(x, dtype=np.float64), side="right")
-        padded = np.concatenate(([0.0], self.spectrum.gain_prefix))
-        return padded[idx]
+        return self._gain_table[idx]
 
     def quantile_vec(self, p: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.spectrum.mass_prefix, np.asarray(p, dtype=np.float64), side="left")

@@ -14,11 +14,17 @@ failure modes:
   an imaginary residue above tolerance, an unattainable search target).
 * :class:`ConfigError` -- the command-line layer received an invalid or
   inconsistent configuration (unknown keys, malformed specs).
+
+One warning class marks results that are returned but may be truncated:
+
+* :class:`ConvergenceWarning` -- an optimizer returned the best point it
+  found, but the search that found it stopped at its evaluation or
+  iteration cap rather than converging.
 """
 
 from __future__ import annotations
 
-__all__ = ["ThqaoaError", "DomainError", "NumericalError", "ConfigError"]
+__all__ = ["ThqaoaError", "DomainError", "NumericalError", "ConfigError", "ConvergenceWarning"]
 
 
 class ThqaoaError(Exception):
@@ -35,3 +41,7 @@ class NumericalError(ThqaoaError, ArithmeticError):
 
 class ConfigError(ThqaoaError, ValueError):
     """The command-line configuration is malformed or inconsistent."""
+
+
+class ConvergenceWarning(RuntimeWarning):
+    """An optimizer's result came from a search that stopped at its cap."""

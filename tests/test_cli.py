@@ -244,7 +244,7 @@ def test_invalid_config_values_fail_like_flags(capsys, tmp_path, key, subcommand
     assert out == ""
 
 
-# One invocation per subcommand (two for maxcut's exclusive modes); together
+# One invocation per subcommand (three for maxcut's exclusive modes); together
 # they set every option of the option table.
 ROUNDTRIP_CASES = [
     ("pr", {"r": "1,3", "rho": "geom:0.001,0.2,4"}),
@@ -255,7 +255,8 @@ ROUNDTRIP_CASES = [
     ("gmqaoa", {"dist": "normal:0,1", "r": "1,2", "bins": "40", "restarts": "2", "seed": "3"}),
     ("bound", {"dist": "normal:0,1", "r": "1,10", "tail_l": "0.5"}),
     ("maxcut", {"graph": "GRAPH", "frame": "x"}),
-    ("maxcut", {"n": "4", "n_range": "3,5", "lam": "0.8", "bound_kind": "gmth"}),
+    ("maxcut", {"n_range": "3,5", "lam": "0.8", "bound_kind": "gmth"}),
+    ("maxcut", {"n": "4", "lam": "0.8"}),
     (
         "crs",
         {"dist": "binomial:10,0.5", "r": "2", "method": "monte_carlo", "trials": "3000",
@@ -318,6 +319,7 @@ def test_missing_config_file(capsys):
         ["gmqaoa", "--dist", "binomial:10,0.5", "--r", "1", "--restarts", "2", "--seed", "-1"],
         ["crs", "--dist", "twopoint:0.2", "--r", "1", "--seed", "-1"],  # negative seed
         ["crs", "--dist", "twopoint:0.2", "--r", "1", "--effort-factor", "0"],
+        ["maxcut", "--n", "4", "--n-range", "3,5", "--lam", "0.8"],  # one size and a sweep
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -337,6 +339,14 @@ def test_maxcut_graph_with_lam_rejected(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: ")
     assert "--graph" in err and "--lam" in err
+    assert out == ""
+
+
+def test_maxcut_n_with_n_range_rejected(capsys):
+    # the sweep would silently drop the single part size
+    code, out, err = run_cli(capsys, "maxcut", "--n", "4", "--n-range", "3,5", "--lam", "0.8")
+    assert code == 2
+    assert "--n " in err and "--n-range" in err
     assert out == ""
 
 
@@ -364,6 +374,8 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "subcommand" in out
+    # the module docstring keeps its line breaks: headings stay on their own lines
+    assert "\nSubcommands\n-----------\n" in out
     code, out, _ = run_cli(capsys, "threshold", "--help")
     assert code == 0
     assert "--dist" in out

@@ -2,9 +2,11 @@
 angle optimization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,7 @@ import oracles
 from thqaoa import gmqaoa
 from thqaoa.dist_core import discretize_equal_mass
 from thqaoa.dist_models import make_empirical, make_normal, make_reflected_gamma, make_two_point
-from thqaoa.errors import DomainError
+from thqaoa.errors import ConvergenceWarning, DomainError
 from thqaoa.gmqaoa import (
     PAIR_SUM_MAX_ROUNDS,
     characteristic_function,
@@ -339,3 +341,83 @@ def test_optimize_validation():
         optimize_angles(law, 1, restarts=0)
     with pytest.raises(DomainError):
         optimize_angles(make_normal(0.0, 1.0), 1)
+
+
+
+# Optima of the best-of-restarts Nelder-Mead search that optimize_angles ran
+# before its L-BFGS search, on equal-mass discretizations of the standard
+# normal with warm starts threaded through r: the `gmqaoa --dist normal:0,1
+# --bins 3000 --r 1,2,3 --restarts 3 --seed 0` rows, and the criterion-12
+# loop (10^4 bins, restarts 6, seed 0).
+NELDER_MEAD_OPTIMA = {
+    (3000, 3): (-0.8578243502442879, -1.29249612386039, -1.5166992495221903),
+    (10_000, 6): (
+        -0.8577777832737974, -1.292341061845013, -1.5144498101725745, -1.6102571265924623,
+        -1.8053201442148072, -1.9314682117209645, -1.9388229189209563, -2.0447885401969725,
+    ),
+}
+
+
+def standardized(law):
+    """Root masses and standard scores of a law's classes."""
+    return np.sqrt(law.spectrum.masses), (law.spectrum.values - law.mean) / law.std
+
+
+def test_value_and_grad_matches_simulator_and_central_differences():
+    rng = np.random.default_rng(13)
+    h = 1e-5
+    for r in range(1, 7):
+        for _ in range(3):
+            law = random_discrete_law(rng, max_atoms=20)
+            w, z = standardized(law)
+            theta = rng.uniform(-math.pi, math.pi, 2 * r)
+            value, grad = gmqaoa._value_and_grad(theta, w, z)
+            sched = AngleSchedule(tuple(theta[:r]), tuple(theta[r:] / law.std))
+            e = expectation_from_state(simulate(law, identity_phase, sched))
+            assert value == pytest.approx((e - law.mean) / law.std, abs=1e-12)
+            central = [
+                (gmqaoa._value_and_grad(theta + step, w, z)[0]
+                 - gmqaoa._value_and_grad(theta - step, w, z)[0]) / (2 * h)
+                for step in np.eye(2 * r) * h
+            ]
+            assert np.max(np.abs(grad - central)) <= 1e-7
+
+
+def test_padded_warm_start_is_stationary():
+    # A new last layer at zero angles: its gamma acts as a final phase, and
+    # its beta moves the state exactly as the previous layer's beta does.
+    # So padding a stationary point of r - 1 layers gives one of r layers,
+    # and L-BFGS would stop there at once; optimize_angles starts from the
+    # INTERP stretch instead.
+    rng = np.random.default_rng(14)
+    for r in (2, 3, 4):
+        w, z = standardized(random_discrete_law(rng, max_atoms=20))
+        theta = rng.uniform(-math.pi, math.pi, 2 * (r - 1))
+        pad = np.concatenate([theta[: r - 1], [0.0], theta[r - 1:], [0.0]])
+        _, grad = gmqaoa._value_and_grad(pad, w, z)
+        assert abs(grad[r - 1] - grad[r - 2]) <= 1e-12
+        assert abs(grad[2 * r - 1]) <= 1e-12
+        warm = optimize.minimize(gmqaoa._value_and_grad, theta, args=(w, z), jac=True,
+                                 method="BFGS", options={"gtol": 1e-12}).x
+        pad = np.concatenate([warm[: r - 1], [0.0], warm[r - 1:], [0.0]])
+        _, grad = gmqaoa._value_and_grad(pad, w, z)
+        assert np.max(np.abs(grad)) <= 1e-9
+
+
+@pytest.mark.parametrize("bins, restarts", sorted(NELDER_MEAD_OPTIMA))
+def test_optima_no_worse_than_nelder_mead(bins, restarts):
+    law = discretize_equal_mass(make_normal(0.0, 1.0), bins)
+    sched = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        for r, pinned in enumerate(NELDER_MEAD_OPTIMA[bins, restarts], start=1):
+            sched, e_opt = optimize_angles(law, r, restarts=restarts, seed=0, warm_start=sched)
+            assert e_opt <= pinned + 1e-9, f"r={r}"
+
+
+def test_warning_when_the_optimum_stopped_at_the_cap(monkeypatch):
+    law = discretize_equal_mass(make_normal(0.0, 1.0), 200)
+    monkeypatch.setattr(gmqaoa, "EVALUATIONS_PER_LAYER", 3)
+    with pytest.warns(ConvergenceWarning, match=r"r=2: .* restart \d+, .* after \d+ evaluations"):
+        _, e_opt = optimize_angles(law, 2, restarts=3, seed=0)
+    assert e_opt < law.mean
