@@ -359,9 +359,6 @@ def optimize_angles(
     z = (law.spectrum.values - law.mean) / sigma
     w = np.sqrt(law.spectrum.masses)
 
-    def score(theta: np.ndarray) -> float:
-        return _value_and_grad(theta, w, z)[0]
-
     best_theta = np.zeros(2 * r)
     best_score = 0.0  # zero schedule: initial state, expectation mu
     rng = np.random.default_rng(seed)
@@ -371,7 +368,7 @@ def optimize_angles(
         gammas = sigma * np.asarray(warm_start.gammas, dtype=np.float64)
         pad = np.zeros(r - warm_start.r)
         padded = np.concatenate([betas, pad, gammas, pad])
-        padded_score = score(padded)
+        padded_score = _value_and_grad(padded, w, z)[0]
         if padded_score < best_score:
             best_theta, best_score = padded, padded_score
         starts.append(np.concatenate([_interp(betas, r), _interp(gammas, r)]))

@@ -6,9 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import oracles
 from thqaoa import gmqaoa
@@ -341,7 +341,6 @@ def test_optimize_validation():
         optimize_angles(law, 1, restarts=0)
     with pytest.raises(DomainError):
         optimize_angles(make_normal(0.0, 1.0), 1)
-
 
 
 # Optima of the best-of-restarts Nelder-Mead search that optimize_angles ran
