@@ -30,9 +30,8 @@ form, what a Grover-mixer schedule can achieve on it:
   ``thqaoa reproduce`` CLI targets.
 * :mod:`thqaoa.cli` -- the ``thqaoa`` command-line interface.
 
-The collapsed-state simulator runs on a compiled extension when
-available; set ``THQAOA_BACKEND=python`` to force the pure-numpy
-fallback (``thqaoa.BACKEND`` names the active one).
+The collapsed-state simulator has one kernel, a numpy layer loop
+(:mod:`thqaoa._backend`); ``thqaoa.BACKEND`` names it (``"python"``).
 """
 
 from ._backend import BACKEND

@@ -1,50 +1,39 @@
-"""Evolution-kernel backend selection.
+"""Collapsed-state evolution kernel.
 
-The collapsed simulator's layer loop has two interchangeable
-implementations: a compiled Cython extension (:mod:`thqaoa._evolve`)
-and a pure-numpy fallback (:mod:`thqaoa._evolve_py`).  At import time
-this module picks the compiled one when it is available and silently
-falls back otherwise, so the package works from a plain source checkout.
+The layer loop of the degeneracy-collapsed simulator.  One layer with
+angles (beta, gamma) acts on the class amplitudes ``v`` (cost class i
+carrying weight ``w[i] = sqrt(f_i)`` and phase-generator value ``q[i]``)
+as
 
-The environment variable ``THQAOA_BACKEND`` overrides the choice:
+    v_i <- exp(i * gamma * q_i) * v_i
+    v_i <- v_i + (exp(i * beta) - 1) * (sum_j w_j v_j) * w_i
 
-* ``THQAOA_BACKEND=python``   -- force the numpy fallback;
-* ``THQAOA_BACKEND=compiled`` -- require the extension (ImportError if
-  it was not built);
-* unset / ``auto``            -- prefer compiled, fall back to python.
+which is the phase separator followed by the rank-one mixer
+I + (e^{i beta} - 1)|s><s| restricted to the collapsed basis.
 
-``BACKEND`` names the selected implementation; ``benchmarks/bench_kernel.py``
-compares the two.
+``BACKEND`` names the kernel; it is always ``"python"`` (numpy).  It
+stays only because ``perfbench`` reports it and hooks this module's
+``evolve`` by name.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-_requested = os.environ.get("THQAOA_BACKEND", "auto").strip().lower() or "auto"
-
-if _requested == "python":
-    from . import _evolve_py as _impl
-elif _requested == "compiled":
-    try:
-        from . import _evolve as _impl  # type: ignore[attr-defined]
-    except ImportError as exc:
-        raise ImportError(
-            f"THQAOA_BACKEND={_requested!r} requires the compiled extension "
-            "thqaoa._evolve, which cannot be imported (is it built?); "
-            "use THQAOA_BACKEND=python for the numpy kernel"
-        ) from exc
-elif _requested == "auto":
-    try:
-        from . import _evolve as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _evolve_py as _impl
-else:
-    raise ImportError(
-        f"THQAOA_BACKEND={_requested!r} not recognized; use 'auto', 'python', or 'compiled'"
-    )
-
-BACKEND: str = _impl.BACKEND_NAME
-evolve = _impl.evolve
+BACKEND = "python"
 
 __all__ = ["BACKEND", "evolve"]
+
+
+def evolve(
+    w: np.ndarray,
+    q: np.ndarray,
+    betas: np.ndarray,
+    gammas: np.ndarray,
+    v: np.ndarray,
+) -> None:
+    """Apply all layers in place to the complex amplitude vector ``v``."""
+    for beta, gamma in zip(betas, gammas):
+        v *= np.exp(1j * gamma * q)
+        overlap = np.dot(w, v)
+        v += (np.exp(1j * beta) - 1.0) * overlap * w

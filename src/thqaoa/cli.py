@@ -106,10 +106,10 @@ class ExperimentConfig:
 def _parse_float_list(text: str, flag: str) -> List[float]:
     try:
         values = [float(part) for part in text.split(",") if part != ""]
-        if any(math.isnan(v) for v in values):
+        if not all(math.isfinite(v) for v in values):
             raise ValueError
     except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+        raise ConfigError(f"{flag} expects comma-separated finite numbers, got {text!r}") from None
     return values
 
 
@@ -173,7 +173,9 @@ def _parse_rounds(spec: str) -> List[int]:
         start, stop, count = parts
         if int(count) != count or count < 1:
             raise ConfigError(f"--r linspace count must be a positive integer, got {count!r}")
-        values = np.unique(np.rint(np.linspace(start, stop, int(count))).astype(np.int64))
+        if not math.isfinite(stop - start):
+            raise ConfigError(f"--r linspace span overflows a double, got {rest!r}")
+        values = np.unique(np.rint(np.linspace(start, stop, int(count))))
         rounds = [int(v) for v in values]
     elif kind == "pow2":
         parts = _parse_float_list(rest, "--r pow2")
@@ -212,6 +214,8 @@ def _parse_rho(spec: str) -> List[float]:
         lo, hi, count = parts
         if int(count) != count or count < 2:
             raise ConfigError(f"--rho geom count must be an integer >= 2, got {count!r}")
+        if not (0.0 < lo <= 1.0 and 0.0 < hi <= 1.0):
+            raise ConfigError(f"--rho geom lo and hi must lie in (0, 1], got {rest!r}")
         values = list(np.geomspace(lo, hi, int(count)))
     else:
         values = _parse_float_list(spec, "--rho")
@@ -454,7 +458,13 @@ def _cmd_maxcut(cfg: ExperimentConfig):
                 r = None
             rows.append((n, lam, bound_kind, r))
         return ("n", "lam", "bound_kind", "r"), rows
+    if cfg["n_range"] is not None:
+        raise ConfigError("--n-range sweeps the --lam round search; spectrum mode takes --n or --graph")
     if cfg["graph"] is not None:
+        if cfg["n"] is not None:
+            raise ConfigError(
+                "--n asks for the K_{n,n} spectrum and --graph for an edge list's; give one, not both"
+            )
         law = maxcut.brute_force_spectrum(maxcut.read_edge_list(cfg["graph"]), frame=frame)
     elif cfg["n"] is not None:
         law = maxcut.knn_spectrum(cfg["n"], frame=frame)

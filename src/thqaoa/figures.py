@@ -83,6 +83,10 @@ def round_grid_pow2(denominator: int, x_max: int, cap: Optional[int] = None) -> 
         raise DomainError(f"grid denominator must be a positive integer, got {denominator!r}")
     if int(x_max) != x_max or x_max < 0:
         raise DomainError(f"grid exponent bound must be a non-negative integer, got {x_max!r}")
+    if x_max >= 1024 * denominator:
+        raise DomainError(
+            f"2^(x_max/denominator) must stay below 2^1024 (a double), got {x_max}/{denominator}"
+        )
     grid = []
     seen = set()
     for x in range(int(x_max) + 1):

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy import optimize as _sciopt
 
-from ._backend import BACKEND, evolve
+from ._backend import evolve
 from .dist_core import DiscreteLaw, Distribution
 from .dist_models import NormalLaw
 from .errors import ConvergenceWarning, DomainError, NumericalError
@@ -56,7 +56,6 @@ __all__ = [
     "psi_function",
     "expectation_pair_sum",
     "optimize_angles",
-    "BACKEND",
 ]
 
 #: Maximum layer count of the pair-sum expectation formula (O(4^r) terms).

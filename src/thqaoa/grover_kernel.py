@@ -191,7 +191,10 @@ def optimal_binary_angles(rho: float, r: int) -> AngleSchedule:
 def amplification_ratio(rho: float, r: int) -> float:
     """eta(rho, r) = P(rho, r) / rho, the marked-mass amplification.
 
-    Bounded above by (2r + 1)^2, with the bound saturated as rho -> 0.
+    Bounded above by (2r + 1)^2 up to rounding, with the bound saturated
+    as rho -> 0: where r^2 rho is below about 1e-16 the float ratio can
+    pass the cap by 1-2 ulps (``amplification_ratio(1e-300, 1)`` is
+    9.000000000000002).
     """
     r = _check_rounds(r)
     if not (0.0 < rho <= 1.0):

@@ -141,6 +141,19 @@ def kappa_reference() -> Tuple[float, float]:
         return float(x1), float(2 * mpmath.sin(x1) ** 2 / x1)
 
 
+def grover_probability_reference(rho: float, r: int) -> Tuple[float, float]:
+    """P(rho, r) = sin^2((2r+1) arcsin(sqrt(rho))) and eta = P / rho, by
+    mpmath at 50 digits from the exact binary value of ``rho``, each
+    rounded once to a float.  The sine form holds at or below the
+    threshold ratio sin^2(pi / (4r + 2)); above it P is 1."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = mpmath.mpf(rho)
+        p = mpmath.sin((2 * r + 1) * mpmath.asin(mpmath.sqrt(x))) ** 2
+        return float(p), float(p / x)
+
+
 # ---------------------------------------------------------------------------
 # Dense full-space circuit simulation (no degeneracy collapse)
 # ---------------------------------------------------------------------------

@@ -3,13 +3,18 @@
 import csv
 import io
 import shutil
+import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thqaoa import cli
-from thqaoa.errors import NumericalError
+from thqaoa.dist_core import Distribution
+from thqaoa.errors import ConfigError, DomainError, NumericalError
 from thqaoa.figures import round_grid_pow2
 from thqaoa.maxcut import knn_spectrum
 
@@ -320,9 +325,21 @@ def test_missing_config_file(capsys):
         ["crs", "--dist", "twopoint:0.2", "--r", "1", "--seed", "-1"],  # negative seed
         ["crs", "--dist", "twopoint:0.2", "--r", "1", "--effort-factor", "0"],
         ["maxcut", "--n", "4", "--n-range", "3,5", "--lam", "0.8"],  # one size and a sweep
+        ["maxcut", "--graph", "TRIANGLE", "--n", "4"],  # a graph's spectrum and K_{n,n}'s
+        ["maxcut", "--n", "2", "--n-range", "3,5"],  # a sweep without the round search
+        ["sweep", "--dist", "binomial:1e400,0.5", "--r", "1"],  # overflows to inf
+        ["sweep", "--dist", "normal:0,1", "--r", "pow2:1e400,5"],
+        ["sweep", "--dist", "normal:0,1", "--r", "pow2:1,1024"],  # 2^1024 overflows
+        ["pr", "--rho", "geom:0,1,3", "--r", "1"],  # geom bounds outside (0, 1]
+        ["pr", "--rho", "geom:-1,1,3", "--r", "1"],
+        ["pr", "--rho", "0.5", "--r", "linspace:1,inf,3"],  # infinite round bound
+        ["cthr", "--r", "linspace:-1e308,1e308,3"],  # span overflows
     ],
 )
-def test_config_errors_exit_two(capsys, argv):
+def test_config_errors_exit_two(capsys, tmp_path, argv):
+    triangle = tmp_path / "tri.txt"
+    triangle.write_text("0 1\n1 2\n0 2\n")
+    argv = [str(triangle) if arg == "TRIANGLE" else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
@@ -379,6 +396,89 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--help")
     assert code == 0
     assert "--dist" in out
+
+
+# ---------------------------------------------------------------------------
+# Spec parsers: any text is a valid value or a clean rejection
+# ---------------------------------------------------------------------------
+
+# Counts feed linspace/geomspace/pow2 sizes, so they stay at or below 10^4:
+# a huge count would make numpy allocate gigabytes before any check runs.
+_COUNT = st.one_of(
+    st.integers(-3, 10_000).map(str),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "2.5", "1e4", "x"]),
+)
+_NUMBER = st.one_of(
+    st.floats().map(repr),  # nan, +-inf, subnormals and the largest doubles
+    st.integers(-3, 10_000).map(str),
+    st.sampled_from(["", " ", "1e400", "-1e400", "1e-400", "x", "0x10", "1_0"]),
+)
+# Free text carries no digits, so it cannot spell a large count.
+_TEXT = st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=30)
+
+
+def _numbers(max_size):
+    return st.lists(_NUMBER, max_size=max_size).map(",".join)
+
+
+_DIST_SPECS = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(["normal", "gamma", "pareto", "twopoint", "cauchy"]),
+              _numbers(3)),
+    st.builds("binomial:{},{}".format, _COUNT, _NUMBER),
+    st.builds("knn:{}{}".format, st.integers(-2, 16), st.sampled_from(["", ",x", ",y", ",z", ",x,y"])),
+    _TEXT.filter(lambda text: not text.strip().lower().startswith("empirical")),
+)
+_ROUND_SPECS = st.one_of(
+    st.builds("linspace:{},{},{}".format, _NUMBER, _NUMBER, _COUNT),
+    st.builds("pow2:{},{}".format, _COUNT, _COUNT),
+    _numbers(4),
+    _TEXT,
+)
+_RHO_SPECS = st.one_of(
+    st.builds("geom:{},{},{}".format, _NUMBER, _NUMBER, _COUNT),
+    _numbers(4),
+    _TEXT,
+)
+_GRID_SPECS = st.one_of(
+    st.just("support"), st.builds("list:{}".format, _numbers(4)), _NUMBER, _TEXT
+)
+
+
+def _is_valid_rounds(value):
+    return bool(value) and all(isinstance(r, int) and r >= 1 for r in value)
+
+
+def _is_valid_rho(value):
+    return bool(value) and all(0.0 < rho <= 1.0 for rho in value)
+
+
+def _is_valid_grid(value):
+    if isinstance(value, list):
+        return len(value) >= 2 and all(math.isfinite(t) for t in value)
+    return value == "support" or isinstance(value, int)
+
+
+@pytest.mark.parametrize(
+    "parse, specs, is_valid",
+    [
+        (cli._parse_dist, _DIST_SPECS, lambda law: isinstance(law, Distribution)),
+        (cli._parse_rounds, _ROUND_SPECS, _is_valid_rounds),
+        (cli._parse_rho, _RHO_SPECS, _is_valid_rho),
+        (cli._parse_grid, _GRID_SPECS, _is_valid_grid),
+    ],
+    ids=["dist", "rounds", "rho", "grid"],
+)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_spec_parsers_accept_or_reject_cleanly(parse, specs, is_valid, data):
+    spec = data.draw(specs, label="spec")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning means an unchecked input
+        try:
+            value = parse(spec)
+        except (ConfigError, DomainError):
+            return
+    assert is_valid(value), (spec, value)
 
 
 # ---------------------------------------------------------------------------

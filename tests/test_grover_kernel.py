@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from thqaoa import gmqaoa
 from thqaoa.dist_models import make_two_point
 from thqaoa.errors import DomainError
@@ -182,6 +183,20 @@ def test_amplification_cap_and_saturation():
 # ---------------------------------------------------------------------------
 # Parameter containers
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [1, 10, 10**3, 10**5, 10**7])
+def test_probability_and_amplification_match_mpmath(r):
+    # rho from 1e-300 to the last double below the threshold ratio; the
+    # float eta may pass the (2r+1)^2 cap by rounding only (up to 4 ulps)
+    cap = (2 * r + 1) ** 2 * (1.0 + 4.0 * 2.0**-52)
+    top = math.nextafter(threshold_ratio(r), 0.0)
+    for rho in np.geomspace(1e-300, top, 240).tolist():
+        p_ref, eta_ref = oracles.grover_probability_reference(rho, r)
+        assert abs(grover_probability(rho, r) - p_ref) <= 4e-15 * p_ref, rho
+        eta = amplification_ratio(rho, r)
+        assert abs(eta - eta_ref) <= 4e-15 * eta_ref, rho
+        assert eta <= cap, rho
 
 
 def test_params_and_schedule_validation():
