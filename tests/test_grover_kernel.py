@@ -180,11 +180,6 @@ def test_amplification_cap_and_saturation():
         amplification_ratio(0.0, 1)
 
 
-# ---------------------------------------------------------------------------
-# Parameter containers
-# ---------------------------------------------------------------------------
-
-
 @pytest.mark.parametrize("r", [1, 10, 10**3, 10**5, 10**7])
 def test_probability_and_amplification_match_mpmath(r):
     # rho from 1e-300 to the last double below the threshold ratio; the
@@ -197,6 +192,11 @@ def test_probability_and_amplification_match_mpmath(r):
         eta = amplification_ratio(rho, r)
         assert abs(eta - eta_ref) <= 4e-15 * eta_ref, rho
         assert eta <= cap, rho
+
+
+# ---------------------------------------------------------------------------
+# Parameter containers
+# ---------------------------------------------------------------------------
 
 
 def test_params_and_schedule_validation():
