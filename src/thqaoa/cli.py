@@ -31,7 +31,9 @@ cost law, mean-centered by default, ``x`` for raw negated cut sizes).
 Round specs (``--r``): an explicit comma list ``1,5,100``;
 ``linspace:start,stop,count`` (rounded to integers, deduplicated); or
 ``pow2:den,xmax`` for the log grid ``ceil(2^(x/den))``, x = 0..xmax,
-deduplicated.
+deduplicated.  Generated grids (``linspace``/``pow2`` rounds, ``geom``
+marked fractions, integer ``--grid`` resolutions) hold at most 10^6
+points; larger ones are rejected before anything is allocated.
 
 A threshold of minus infinity is written ``--t=-inf``: argparse reads a
 separate ``-inf`` as an option name.
@@ -76,6 +78,15 @@ from .grover_kernel import (
 )
 
 __all__ = ["run", "main", "ExperimentConfig"]
+
+#: Most points a generated grid (--r linspace/pow2, --rho geom, --grid N)
+#: may hold.  Checked before the grid is built.
+MAX_GRID_POINTS = 10**6
+
+
+def _check_grid_size(points: float, what: str) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"{what} asks for {points:.15g} points; the limit is {MAX_GRID_POINTS}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,6 +184,7 @@ def _parse_rounds(spec: str) -> List[int]:
         start, stop, count = parts
         if int(count) != count or count < 1:
             raise ConfigError(f"--r linspace count must be a positive integer, got {count!r}")
+        _check_grid_size(count, "--r linspace")
         if not math.isfinite(stop - start):
             raise ConfigError(f"--r linspace span overflows a double, got {rest!r}")
         values = np.unique(np.rint(np.linspace(start, stop, int(count))))
@@ -181,6 +193,7 @@ def _parse_rounds(spec: str) -> List[int]:
         parts = _parse_float_list(rest, "--r pow2")
         if len(parts) != 2 or any(int(p) != p for p in parts):
             raise ConfigError(f"--r pow2 expects den,xmax integers, got {rest!r}")
+        _check_grid_size(parts[1] + 1, "--r pow2")
         rounds = figures.round_grid_pow2(int(parts[0]), int(parts[1]))
     else:
         try:
@@ -214,6 +227,7 @@ def _parse_rho(spec: str) -> List[float]:
         lo, hi, count = parts
         if int(count) != count or count < 2:
             raise ConfigError(f"--rho geom count must be an integer >= 2, got {count!r}")
+        _check_grid_size(count, "--rho geom")
         if not (0.0 < lo <= 1.0 and 0.0 < hi <= 1.0):
             raise ConfigError(f"--rho geom lo and hi must lie in (0, 1], got {rest!r}")
         values = list(np.geomspace(lo, hi, int(count)))
@@ -236,11 +250,13 @@ def _parse_grid(spec: str):
             raise ConfigError("--grid list needs at least two thresholds")
         return values
     try:
-        return int(spec)
+        resolution = int(spec)
     except ValueError:
         raise ConfigError(
             f"--grid expects 'support', an integer resolution, or list:t1,t2,...; got {spec!r}"
         ) from None
+    _check_grid_size(resolution, "--grid")
+    return resolution
 
 
 # --------------------------------------------------------------------------

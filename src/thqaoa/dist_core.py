@@ -311,6 +311,23 @@ class ContinuousLaw(Distribution):
 
     kind = "continuous"
 
+    def _check_representable(self) -> None:
+        """Reject parameters whose moments or quantiles overflow a double.
+
+        Subclass constructors call this once their moments are set.  The
+        quantile is checked at the smallest positive double and at the
+        largest double below 1, the two ends of its domain.
+        """
+        if not (math.isfinite(self.mean) and 0.0 < self.std < math.inf):
+            raise DomainError(
+                f"law needs a finite mean and a finite positive standard deviation, "
+                f"got mean={self.mean!r}, std={self.std!r}"
+            )
+        for p in (math.ulp(0.0), 1.0 - 2.0**-53):
+            q = self.quantile(p)
+            if not math.isfinite(q):
+                raise DomainError(f"law's quantile at p={p!r} is {q!r}, not a finite double")
+
 
 # ---------------------------------------------------------------------------
 # Discretization

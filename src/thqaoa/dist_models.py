@@ -55,6 +55,9 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+#: Largest binomial trial count: the law holds n + 1 atoms.
+MAX_BINOMIAL_TRIALS = 10**6
+
 
 # ---------------------------------------------------------------------------
 # Normal
@@ -73,6 +76,7 @@ class NormalLaw(ContinuousLaw):
         self.std = self.s
         self.r_min = -math.inf
         self.r_max = math.inf
+        self._check_representable()
 
     def _z(self, x):
         return (np.asarray(x, dtype=np.float64) - self.u) / self.s
@@ -135,6 +139,7 @@ class ReflectedGammaLaw(ContinuousLaw):
         self.std = math.sqrt(self.a) / self.b
         self.r_min = -math.inf
         self.r_max = 0.0
+        self._check_representable()
 
     def cdf(self, x: float) -> float:
         if x >= 0.0:
@@ -178,8 +183,12 @@ class BinomialLaw(DiscreteLaw):
     """
 
     def __init__(self, n: int, p: float):
-        if int(n) != n or n < 1:
-            raise DomainError(f"binomial trials must be a positive integer, got {n!r}")
+        # The range test comes first: it also rejects nan and inf, which
+        # int() cannot take, and keeps the support arrays bounded.
+        if not (1 <= n <= MAX_BINOMIAL_TRIALS) or int(n) != n:
+            raise DomainError(
+                f"binomial trials must be an integer in [1, {MAX_BINOMIAL_TRIALS}], got {n!r}"
+            )
         if not (0.0 < p < 1.0):
             raise DomainError(f"binomial success probability must lie in (0, 1), got {p!r}")
         self.n = int(n)
@@ -225,6 +234,7 @@ class ReflectedParetoLaw(ContinuousLaw):
         self.std = self.x_m * math.sqrt(alpha / self.eps) / (alpha - 1.0)
         self.r_min = -math.inf
         self.r_max = -self.x_m
+        self._check_representable()
 
     def cdf(self, x: float) -> float:
         if x >= -self.x_m:

@@ -14,13 +14,19 @@ marked mass is boosted to certainty (``rho >= threshold_ratio(r)``),
 and the general form otherwise.  Everything else here -- curves, their
 unimodality diagnostics, the threshold optimizer, the optimal-threshold
 cap, and the exact-optimum round count -- is built on that evaluation.
+
+The scalar evaluation is built once per (law, r): the round count is
+checked, ``threshold_ratio(r)`` computed and the law's queries bound a
+single time, and ``P(rho, r)`` is inlined with the kernel's own libm
+calls.  The threshold optimizer's ~70 evaluations per call and the
+public :func:`expectation_at_threshold` share that one formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +34,6 @@ from .dist_core import DiscreteLaw, Distribution
 from .errors import DomainError
 from .grover_kernel import (
     _check_rounds,
-    amplification_ratio,
     grover_probability,
     grover_probability_vec,
     threshold_ratio,
@@ -114,6 +119,38 @@ class ThresholdCurve:
         return violations
 
 
+def _threshold_objective(dist: Distribution, r: int) -> Callable[[float], float]:
+    """E_r(t) as a function of the threshold alone, built once per (law, r).
+
+    ``r`` is checked and ``threshold_ratio(r)`` computed here, once; the
+    returned function then evaluates the three branches of
+    :func:`expectation_at_threshold` with ``P(rho, r)`` inlined.  It
+    makes the same ``math.sqrt``/``asin``/``sin`` calls in the same
+    order as :func:`grover_probability`, so its values match the
+    kernel's bit for bit.
+    """
+    r = _check_rounds(r)
+    mu = dist.mean
+    cdf = dist.cdf
+    partial_expectation = dist.partial_expectation
+    rho_th = threshold_ratio(r)
+    k = 2.0 * r + 1.0
+
+    def expectation(t: float) -> float:
+        rho = cdf(t)
+        if rho <= 0.0 or rho >= 1.0:
+            return mu
+        g_y = partial_expectation(t) - mu * rho
+        if rho >= rho_th:
+            return mu + g_y / rho
+        if rho != rho:  # nan passes both tests above; the kernel rejects it
+            raise DomainError(f"amplification requires 0 < rho <= 1, got {rho!r}")
+        s = math.sin(k * math.asin(math.sqrt(rho)))
+        return mu + g_y * (s * s / rho - 1.0) / (1.0 - rho)
+
+    return expectation
+
+
 def expectation_at_threshold(dist: Distribution, r: int, t: float) -> float:
     """Closed-form cost expectation of the thresholded schedule.
 
@@ -123,16 +160,7 @@ def expectation_at_threshold(dist: Distribution, r: int, t: float) -> float:
     ``mu + G_Y(T) * (eta - 1) / (1 - rho)`` with ``eta = P/rho``
     otherwise.
     """
-    r = _check_rounds(r)
-    mu = dist.mean
-    rho = dist.cdf(t)
-    if rho <= 0.0 or rho >= 1.0:
-        return mu
-    g_y = dist.partial_expectation(t) - mu * rho
-    if rho >= threshold_ratio(r):
-        return mu + g_y / rho
-    eta = amplification_ratio(rho, r)
-    return mu + g_y * (eta - 1.0) / (1.0 - rho)
+    return _threshold_objective(dist, r)(t)
 
 
 def threshold_report(dist: Distribution, r: int, t: float) -> ThresholdReport:
@@ -217,11 +245,14 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
     return ThresholdCurve(r=r, thresholds=ts, f_values=rho, expectations=e, scores=scores)
 
 
-def _golden_section_argmin(value_at: Callable[[float], float], a: float, b: float, tol: float) -> float:
+def _golden_section_argmin(
+    value_at: Callable[[float], float], a: float, b: float, tol: float
+) -> Tuple[float, float]:
     """Golden-section search for the minimizer of a unimodal function.
 
     Shrinks ``[a, b]`` until it is at most ``tol`` wide and returns the
-    interior point with the smaller value (the left one on ties).
+    interior point with the smaller value (the left one on ties) together
+    with that value.
     """
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
@@ -235,7 +266,7 @@ def _golden_section_argmin(value_at: Callable[[float], float], a: float, b: floa
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = value_at(d)
-    return c if fc <= fd else d
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def _optimize_discrete(law: DiscreteLaw, r: int) -> float:
@@ -262,19 +293,26 @@ def _optimize_continuous(dist: Distribution, r: int) -> float:
     ``u in [threshold_ratio(r) * 1e-13, threshold_ratio(r)]`` in
     log-space (the optimum shrinks like 1/r^2, so a relative tolerance
     is the meaningful one) and the right endpoint -- the smallest
-    certainty threshold -- is compared explicitly.
+    certainty threshold -- is compared explicitly.  The objective is
+    built once for the whole search.
     """
+    expectation = _threshold_objective(dist, r)
+    quantile = dist.quantile
     rho_th = threshold_ratio(r)
     hi = math.log(rho_th)
     lo = hi + math.log(CONTINUOUS_SEARCH_SPAN)
 
     def value_at(v: float) -> float:
-        return expectation_at_threshold(dist, r, dist.quantile(math.exp(v)))
+        return expectation(quantile(math.exp(v)))
 
-    v_best = _golden_section_argmin(value_at, lo, hi, CONTINUOUS_SEARCH_TOLERANCE)
-    candidates = [math.exp(v_best), rho_th, math.exp(lo)]
-    best_u = min(candidates, key=lambda u: expectation_at_threshold(dist, r, dist.quantile(u)))
-    return dist.quantile(best_u)
+    v_best, best_e = _golden_section_argmin(value_at, lo, hi, CONTINUOUS_SEARCH_TOLERANCE)
+    # The search's own winner first, so that ties keep it.
+    best_u = math.exp(v_best)
+    for u in (rho_th, math.exp(lo)):
+        e = expectation(quantile(u))
+        if e < best_e:
+            best_u, best_e = u, e
+    return quantile(best_u)
 
 
 def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
@@ -283,7 +321,8 @@ def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
     Discrete laws are scanned exhaustively over the candidate support
     values (everything up to the certainty region plus one value
     beyond); continuous laws run a golden-section search on the marked
-    mass.  The optimal threshold never exceeds the cap returned by
+    mass, over an objective built once for this r (see the module
+    docstring).  The optimal threshold never exceeds the cap returned by
     :func:`certainty_threshold_cap`.
     """
     r = _check_rounds(r)

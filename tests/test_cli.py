@@ -334,6 +334,15 @@ def test_missing_config_file(capsys):
         ["pr", "--rho", "geom:-1,1,3", "--r", "1"],
         ["pr", "--rho", "0.5", "--r", "linspace:1,inf,3"],  # infinite round bound
         ["cthr", "--r", "linspace:-1e308,1e308,3"],  # span overflows
+        # grids past MAX_GRID_POINTS, rejected before anything is built
+        ["cthr", "--r", "pow2:10000000,10000000000"],  # 10^10 loop steps
+        ["cthr", "--r", "pow2:10000,1000000"],  # one point past the limit
+        ["cthr", "--r", "linspace:1,10,1e12"],  # 8 TB of doubles
+        ["cthr", "--r", "linspace:1,10,1000001"],
+        ["pr", "--rho", "geom:1e-9,0.5,1e12", "--r", "1"],
+        ["pr", "--rho", "geom:1e-9,0.5,1000001", "--r", "1"],
+        ["curve", "--dist", "normal:0,1", "--r", "1", "--grid", "1000000000000"],
+        ["curve", "--dist", "normal:0,1", "--r", "1", "--grid", "1000001"],
     ],
 )
 def test_config_errors_exit_two(capsys, tmp_path, argv):
@@ -402,11 +411,12 @@ def test_help_exits_zero(capsys):
 # Spec parsers: any text is a valid value or a clean rejection
 # ---------------------------------------------------------------------------
 
-# Counts feed linspace/geomspace/pow2 sizes, so they stay at or below 10^4:
-# a huge count would make numpy allocate gigabytes before any check runs.
+# Counts feed linspace/geomspace/pow2 sizes.  Accepted ones stay at or below
+# 10^4 to keep examples fast; the huge ones lie past cli.MAX_GRID_POINTS and
+# must be rejected before anything is allocated.
 _COUNT = st.one_of(
     st.integers(-3, 10_000).map(str),
-    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "2.5", "1e4", "x"]),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "2.5", "1e4", "x", "1000001", "1e12", "1e300"]),
 )
 _NUMBER = st.one_of(
     st.floats().map(repr),  # nan, +-inf, subnormals and the largest doubles

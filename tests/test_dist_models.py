@@ -1,14 +1,19 @@
 """Concrete law families: moments, closed forms, factories, file loading."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import oracles
 from thqaoa.dist_core import DiscreteSpectrum
 from thqaoa.dist_models import (
+    MAX_BINOMIAL_TRIALS,
     empirical_from_file,
     make_binomial,
     make_empirical,
@@ -248,8 +253,81 @@ def test_empirical_from_file_reports_line(tmp_path):
         (make_two_point, (0.0,)),
         (make_two_point, (1.0,)),
         (make_empirical, ([],)),
+        (make_normal, (0.0, 1e307)),  # quantiles overflow
+        (make_reflected_gamma, (1.0, 1e-309)),  # mean overflows
+        (make_reflected_pareto, (1e-320, 1.0)),  # std overflows
+        (make_binomial, (math.nan, 0.5)),
+        (make_binomial, (math.inf, 0.5)),
+        (make_binomial, (MAX_BINOMIAL_TRIALS + 1, 0.5)),  # rejected before allocating
     ],
 )
 def test_factory_domain_validation(factory, args):
     with pytest.raises(DomainError):
         factory(*args)
+
+
+# Any double: nan, +-inf, subnormals and the largest values, plus
+# log-uniform magnitudes of both signs so that tiny and huge parameters
+# turn up often.
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.floats(-324.0, 308.0).map(lambda e: 10.0**e),
+    st.floats(-324.0, 308.0).map(lambda e: -(10.0**e)),
+)
+# Binomial trial counts: small ones are built, the rest must be rejected
+# before the n + 1 atoms are allocated.
+_TRIALS = st.one_of(
+    st.integers(-3, 2000),
+    st.floats(max_value=2000.0),
+    st.floats(min_value=MAX_BINOMIAL_TRIALS + 1.0),
+    st.integers(MAX_BINOMIAL_TRIALS + 1, 10**30),
+)
+_PROBABILITY = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _nudge(x, ulps, direction):
+    for _ in range(ulps):
+        x = math.nextafter(x, direction)
+    return x
+
+
+@pytest.mark.parametrize(
+    "factory, params",
+    [
+        (make_normal, st.tuples(_ANY_FLOAT, _ANY_FLOAT)),
+        (make_reflected_gamma, st.tuples(_ANY_FLOAT, _ANY_FLOAT)),
+        (make_reflected_pareto, st.tuples(_ANY_FLOAT, _ANY_FLOAT)),
+        (make_binomial, st.tuples(_TRIALS, _ANY_FLOAT)),
+        (make_two_point, st.tuples(_ANY_FLOAT)),
+    ],
+    ids=["normal", "gamma", "pareto", "binomial", "twopoint"],
+)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_factories_build_sound_laws_or_raise_domain_error(factory, params, data):
+    args = data.draw(params, label="args")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning means an unchecked input
+        try:
+            law = factory(*args)
+        except DomainError:
+            return
+        assert math.isfinite(law.mean) and math.isfinite(law.std) and law.std > 0.0
+        for p in data.draw(st.lists(_PROBABILITY, min_size=1, max_size=4), label="p"):
+            q = law.quantile(p)
+            f = law.cdf(q)
+            assert math.isfinite(q) and not math.isnan(f), (p, q, f)
+            if abs(q) < sys.float_info.min:
+                # The quantile underflowed (a reflected gamma of shape << 1
+                # puts mass within the smallest subnormal of 0); F cannot be
+                # resolved there.
+                continue
+            # cdf(quantile(p)) ~ p on the double grid: p lies between F at
+            # a few ulps either side of q.  On a fine grid that is
+            # |F(q) - p| <= tol; where F jumps between neighbouring doubles
+            # (discrete laws, or a scale below the location's ulp) it says
+            # that q is where F crosses p.
+            below = law.cdf(_nudge(q, 4, -math.inf))
+            above = law.cdf(_nudge(q, 4, math.inf))
+            tol = 1e-9 * min(p, 1.0 - p) + 2.0**-52
+            assert below - tol <= p <= above + tol, (p, q, below, above)

@@ -1,18 +1,27 @@
 """Thresholded schedules: closed-form expectation, curves, optimizer, caps."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from thqaoa import gmqaoa
+from thqaoa import cli, gmqaoa
 from thqaoa.bounds import c_th
-from thqaoa.dist_models import ReflectedParetoLaw, make_empirical, make_normal, make_two_point
+from thqaoa.dist_models import (
+    ReflectedParetoLaw,
+    make_empirical,
+    make_normal,
+    make_reflected_gamma,
+    make_reflected_pareto,
+    make_two_point,
+)
 from thqaoa.errors import DomainError
 from thqaoa.gmth import (
     ThresholdCurve,
+    _threshold_objective,
     certainty_threshold_cap,
     expectation_at_threshold,
     min_rounds_exact_opt,
@@ -21,6 +30,7 @@ from thqaoa.gmth import (
     threshold_report,
 )
 from thqaoa.grover_kernel import (
+    amplification_ratio,
     grover_probability,
     optimal_binary_angles,
     threshold_ratio,
@@ -80,6 +90,59 @@ def test_expectation_matches_simulator_on_random_spectra():
             e_sim = gmqaoa.expectation_from_state(state)
             e_formula = expectation_at_threshold(law, r, float(t))
             assert e_formula == pytest.approx(e_sim, abs=1e-9)
+
+
+def _expectation_from_kernel(law, r, t):
+    """E_r(t) composed from the public kernel, as the closed form reads."""
+    mu = law.mean
+    rho = law.cdf(t)
+    if rho <= 0.0 or rho >= 1.0:
+        return mu, "edge"
+    g_y = law.partial_expectation(t) - mu * rho
+    if rho >= threshold_ratio(r):
+        return mu + g_y / rho, "boosted"
+    return mu + g_y * (amplification_ratio(rho, r) - 1.0) / (1.0 - rho), "general"
+
+
+_CONTINUOUS_LAWS = st.one_of(
+    st.builds(make_normal, st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)),
+    st.builds(make_reflected_gamma, st.floats(1e-3, 1e3), st.floats(1e-2, 1e2)),
+    st.builds(make_reflected_pareto, st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
+)
+
+
+@given(
+    law=_CONTINUOUS_LAWS,
+    r=st.one_of(st.integers(1, 1000), st.integers(1, 10**8)),
+    branch=st.sampled_from(["edge", "boosted", "general"]),
+    frac=st.floats(0.0, 1.0),
+)
+@example(law=make_normal(0.0, 1.0), r=1, branch="edge", frac=0.0)
+@example(law=make_normal(0.0, 1.0), r=1, branch="boosted", frac=0.5)
+@example(law=make_normal(0.0, 1.0), r=1, branch="general", frac=0.5)
+@settings(max_examples=300, deadline=None)
+def test_public_expectation_is_the_optimizers_objective_bit_for_bit(law, r, branch, frac):
+    # The optimizer evaluates E_r through the objective built once per
+    # (law, r); the public function and the kernel-composed formula must
+    # give the same double in every branch, so the paths cannot drift.
+    rho_th = threshold_ratio(r)
+    if branch == "edge":  # F(t) = 0 or 1
+        t = (-math.inf, math.inf, law.r_max)[min(int(3 * frac), 2)]
+    elif branch == "boosted":  # F(t) >= threshold_ratio(r)
+        t = law.quantile(min(rho_th + frac * (1.0 - rho_th), 1.0 - 2.0**-53))
+    else:  # 0 < F(t) < threshold_ratio(r)
+        t = law.quantile(rho_th * 10.0 ** (-30.0 * frac - 1e-3))
+    public = expectation_at_threshold(law, r, t)
+    objective = _threshold_objective(law, r)(t)
+    reference, taken = _expectation_from_kernel(law, r, t)
+    event(f"branch {taken}")
+    assert public.hex() == objective.hex() == reference.hex(), (branch, taken)
+
+
+def test_expectation_rejects_nan_marked_mass():
+    # cdf(nan) is nan; the kernel's domain check still reports it
+    with pytest.raises(DomainError):
+        expectation_at_threshold(make_normal(0.0, 1.0), 1, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +302,8 @@ _PINNED_C_TH = {
     1: ("0x1.2bec32e8d44acp-3", "0x1.0000000000001p+1"),
     7: ("0x1.8b3a15651ecb4p-8", "0x1.5ab9d91cd9521p+3"),
     50: ("0x1.1748aa2ccc1c2p-13", "0x1.24b90a83350a1p+6"),
+    1000: ("0x1.6c505f4ca76f2p-22", "0x1.6a7c9cb3f5861p+10"),
+    10**6: ("0x1.7e64830a015a4p-42", "0x1.61d076ea25572p+20"),
 }
 _PINNED_T_OPT = [
     (make_normal(0.0, 1.0), 1, "-0x1.c0f92aa84e57fp-1"),
@@ -246,6 +311,13 @@ _PINNED_T_OPT = [
     (make_normal(0.0, 1.0), 10**6, "-0x1.c6a27e78762b5p+2"),
     (ReflectedParetoLaw(18.0, 1.0), 1, "-0x1.192d98845e1ecp+0"),
     (ReflectedParetoLaw(18.0, 1.0), 100, "-0x1.a23a0222f8e4cp+0"),
+    # fig4's reflected Gamma(k/2, 1/2) at k = 0.01 and k = 100
+    (make_reflected_gamma(0.005, 0.5), 1, "-0x1.ecb140b9df874p-6"),
+    (make_reflected_gamma(0.005, 0.5), 1000, "-0x1.c2a55d3a02362p+3"),
+    (make_reflected_gamma(0.005, 0.5), 10**5, "-0x1.ef45a80ea9317p+4"),
+    (make_reflected_gamma(50.0, 0.5), 1, "-0x1.c1f1ee9bde1fep+6"),
+    (make_reflected_gamma(50.0, 0.5), 1000, "-0x1.70a3c818e94b1p+7"),
+    (make_reflected_gamma(50.0, 0.5), 10**5, "-0x1.b70e67f5c21c3p+7"),
 ]
 
 
@@ -255,6 +327,22 @@ def test_golden_section_optima_bit_pinned():
         assert (rho_star.hex(), score.hex()) == (rho_hex, score_hex), r
     for law, r, t_hex in _PINNED_T_OPT:
         assert optimize_threshold(law, r).t_opt.hex() == t_hex, (type(law).__name__, r)
+
+
+# sha256 of the `reproduce` CSV bytes, recorded with numpy 2.4.6 and
+# scipy 1.17.1: fig1 is c_th per round, fig5 the binomial and normal
+# threshold optima.
+_PINNED_REPRODUCE_SHA256 = {
+    "fig1": "cb6408bdd28a598c7cc6b8b66f97da129c253afc01fbe0eadd0fd01941974a44",
+    "fig5": "53acc7469db8b421684e2d3179b91096282f8972f1e263291d8b74aea427188c",
+}
+
+
+@pytest.mark.parametrize("target", sorted(_PINNED_REPRODUCE_SHA256))
+def test_reproduce_csv_bytes_pinned(target, tmp_path):
+    out = tmp_path / f"{target}.csv"
+    assert cli.run(["reproduce", target, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_REPRODUCE_SHA256[target]
 
 
 # ---------------------------------------------------------------------------
