@@ -16,7 +16,7 @@ form, what a Grover-mixer schedule can achieve on it:
 * :mod:`thqaoa.gmth` -- threshold schedules: closed-form expectation at
   any threshold, exact optimization, threshold curves, certainty caps.
 * :mod:`thqaoa.gmqaoa` -- raw-cost schedules: collapsed simulator,
-  characteristic-function pair-sum expectation, angle optimization.
+  O(r^2) characteristic-function expectation, angle optimization.
 * :mod:`thqaoa.bounds` -- performance bounds: the per-layer score slope
   ``kappa``, the best-score curve ``c_th``, expectation floors from the
   amplification cap, round-count lower bounds, quantile envelopes.

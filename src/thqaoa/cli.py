@@ -79,8 +79,8 @@ from .grover_kernel import (
 
 __all__ = ["run", "main", "ExperimentConfig"]
 
-#: Most points a generated grid (--r linspace/pow2, --rho geom, --grid N)
-#: may hold.  Checked before the grid is built.
+#: Most points a generated grid (--r linspace/pow2, --rho geom, --grid N,
+#: --bins) may hold.  Checked before the grid is built.
 MAX_GRID_POINTS = 10**6
 
 
@@ -559,6 +559,9 @@ def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool], expected:
 _NUMBER = _checked(float, lambda v: not math.isnan(v), "a number")  # +-inf allowed
 _SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "a positive integer")
+# the bins - 1 quantile points are a generated grid
+_BINS = _checked(int, lambda v: 2 <= v <= MAX_GRID_POINTS,
+                 f"an integer from 2 to {MAX_GRID_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -620,7 +623,7 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[_Option, ...]]] = {
     "gmqaoa": ("identity-compiled angle optimization", (
         _DIST,
         _ROUNDS,
-        _Option("bins", "equal-mass bins for continuous laws", int, 10_000),
+        _Option("bins", "equal-mass bins for continuous laws", _BINS, 10_000),
         _Option("restarts", "optimizer restarts", int, 20),
         _Option("seed", "optimizer seed", _SEED, 0),
     )),

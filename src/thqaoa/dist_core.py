@@ -155,7 +155,7 @@ def _validate_support(values: np.ndarray, masses: np.ndarray) -> None:
         raise DomainError("support must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(values)):
         raise DomainError("support values must be finite")
-    if np.any(np.diff(values) <= 0):
+    if np.any(values[1:] <= values[:-1]):
         raise DomainError("support values must be strictly ascending")
     if np.any(masses <= 0):
         raise DomainError("masses must be strictly positive")

@@ -104,7 +104,7 @@ class NormalLaw(ContinuousLaw):
     def quantile_vec(self, p):
         return self.u + self.s * special.ndtri(np.asarray(p, dtype=np.float64))
 
-    # characteristic function (used by the phase-expansion expectation)
+    # characteristic function (used by the closed-form GM-QAOA expectation)
     def characteristic_function(self, gamma):
         g = np.asarray(gamma, dtype=np.float64)
         out = np.exp(1j * self.u * g - 0.5 * (self.s * g) ** 2)
@@ -309,7 +309,12 @@ class EmpiricalLaw(DiscreteLaw):
         scaled, den = _integer_numerators(spectrum.values)
         s1 = sum(k * c for k, c in zip(scaled, counts))
         s2 = sum(k * k * c for k, c in zip(scaled, counts))
-        var = (total * s2 - s1 * s1) / (total * total * den * den)
+        try:
+            var = (total * s2 - s1 * s1) / (total * total * den * den)
+        except OverflowError:
+            # sqrt(var) would fit (it is at most half the value range), but
+            # var itself is past the largest double
+            raise DomainError("empirical law's variance overflows a double") from None
         super().__init__(spectrum, mean=s1 / (total * den), std=math.sqrt(var))
         self.multiplicities = tuple(counts)
         self.total_count = total

@@ -9,11 +9,12 @@ Three engines, in increasing order of specialization:
   schedule of ``r`` layers costs O(n * r) for ``n`` classes.  This is
   exact, not approximate, and is the primary engine.
 * :func:`expectation_pair_sum` -- the closed-form expectation of the
-  raw-cost (identity phase) schedule as a double sum over all pairs of
-  mixer-expansion index sets, built from the law's characteristic
-  function.  Cost O(4^r); it exists to cross-validate the simulator and
-  to evaluate closed-form continuous inputs (normal laws) without
-  discretization.
+  raw-cost (identity phase) schedule, built from the law's characteristic
+  function.  Each mixer adds a multiple of |s>, so the final state has
+  r + 1 terms, and the expectation is a double sum over their pairs:
+  O(r^2) characteristic-function evaluations.  It exists to
+  cross-validate the simulator and to evaluate closed-form continuous
+  inputs (normal laws) without discretization.
 * :func:`optimize_angles` -- best-of-restarts L-BFGS search over the
   2r angles.  Each evaluation runs the collapsed layers forward and then
   backward (:func:`_value_and_grad`): the layers are unitary, so the
@@ -57,9 +58,6 @@ __all__ = [
     "expectation_pair_sum",
     "optimize_angles",
 ]
-
-#: Maximum layer count of the pair-sum expectation formula (O(4^r) terms).
-PAIR_SUM_MAX_ROUNDS = 12
 
 #: Tolerance on the imaginary residue of the pair-sum total.
 IMAG_RESIDUE_TOLERANCE = 1e-9
@@ -196,12 +194,28 @@ def psi_function(dist: Distribution, q: PhaseFunction, gamma: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _phi_tables(dist: Distribution, angles: AngleSchedule):
-    """Characteristic-function lookups for the pair sum.
+def expectation_pair_sum(dist: Distribution, angles: AngleSchedule) -> float:
+    """Closed-form raw-cost expectation from the law's characteristic function.
 
-    Returns (phi(seg) on all O(r^2) distinct segment arguments as a
-    dense [j0, j1] table over gamma prefix indices, phi'(d) on all
-    distinct tail differences, and the tail per prefix index).
+    Every mixer layer ``U_M = I + B(beta) |s><s|`` with
+    ``B(beta) = e^{i beta} - 1`` adds a multiple of |s> to the state, so
+    after r layers the class amplitudes are
+    ``v_i = sqrt(f_i) sum_{j=0..r} a_j exp(i x_i S_j)``, where
+    ``S_j = gamma_{j+1} + ... + gamma_r`` is the tail of the phase angles.
+    With ``pre`` the prefix sums of the gammas, ``a_0 = 1`` and each
+    layer's overlap with |s> gives
+
+        a_k = B(beta_k) sum_{j<k} a_j phi(pre_k - pre_j),
+
+    and the expectation is the double sum over the r + 1 terms
+
+        E = -i * sum_{j,k} conj(a_j) a_k phi'(S_k - S_j).
+
+    That is O(r^2) evaluations of ``phi`` and ``phi'``, one layer (or one
+    row) at a time.  For a discrete law with n atoms each evaluation is a
+    sum over the atoms, so the cost is O(r^2 n) -- more than the
+    simulator's O(r n) -- with O(r n) memory.  The imaginary residue of
+    the total must stay below 1e-9.
     """
     phi = getattr(dist, "characteristic_function", None)
     phid = getattr(dist, "characteristic_derivative", None)
@@ -211,57 +225,13 @@ def _phi_tables(dist: Distribution, angles: AngleSchedule):
         )
     r = angles.r
     pre = np.concatenate(([0.0], np.cumsum(np.asarray(angles.gammas, dtype=np.float64))))
-    seg_args = pre[None, :] - pre[:, None]  # seg_args[j0, j1] = gamma_{j0+1} + ... + gamma_{j1}
-    phi_table = np.asarray(phi(seg_args.ravel()), dtype=np.complex128).reshape(r + 1, r + 1)
-    tails = pre[r] - pre  # tails[j] = sum of gammas after layer j
-    diff = tails[None, :] - tails[:, None]
-    phid_table = np.asarray(phid(diff.ravel()), dtype=np.complex128).reshape(r + 1, r + 1)
-    return phi_table, phid_table
-
-
-def expectation_pair_sum(dist: Distribution, angles: AngleSchedule) -> float:
-    """Closed-form raw-cost expectation as a sum over all index-set pairs.
-
-    Expanding every mixer layer ``U_M = I + B(beta) |s><s|`` with
-    ``B(beta) = e^{i beta} - 1`` writes the final state as a sum over
-    the 2^r subsets of layers whose projector term was taken.  Each
-    subset contributes a product of characteristic-function factors
-    ``phi`` over the gamma segments between consecutive selected layers
-    and one ``B`` factor per selected layer; the expectation is the
-    double sum over (bra, ket) subset pairs with the derivative factor
-    ``phi'`` evaluated at the difference of the trailing gamma sums:
-
-        E = -i * sum_{bra, ket} conj(W[bra]) W[ket] phi'(tail[ket] - tail[bra])
-
-    All 4^r pairs are accumulated (chunked); the imaginary residue of
-    the total must stay below 1e-9.  Layer counts above 12 are
-    rejected.
-    """
-    r = angles.r
-    if r > PAIR_SUM_MAX_ROUNDS:
-        raise DomainError(f"pair-sum expectation is limited to r <= {PAIR_SUM_MAX_ROUNDS}, got {r}")
-    phi_table, phid_table = _phi_tables(dist, angles)
     b_factors = np.exp(1j * np.asarray(angles.betas, dtype=np.float64)) - 1.0
-
-    size = 1 << r
-    w = np.empty(size, dtype=np.complex128)
-    maxbit = np.empty(size, dtype=np.int64)
-    w[0] = 1.0
-    maxbit[0] = 0
-    for mask in range(1, size):
-        high = mask.bit_length() - 1  # highest selected layer, 0-based
-        rest = mask ^ (1 << high)
-        prev = rest.bit_length()  # highest layer of the remainder, as prefix index
-        w[mask] = w[rest] * b_factors[high] * phi_table[prev, high + 1]
-        maxbit[mask] = high + 1
-
-    total = 0.0 + 0.0j
-    w_conj = np.conj(w)
-    chunk = 4096
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
-        block = phid_table[maxbit[start:stop][:, None], maxbit[None, :]]
-        total += np.einsum("i,ij,j->", w_conj[start:stop], block, w)
+    a = np.zeros(r + 1, dtype=np.complex128)
+    a[0] = 1.0
+    for k in range(1, r + 1):
+        a[k] = b_factors[k - 1] * np.dot(a[:k], phi(pre[k] - pre[:k]))
+    tails = pre[r] - pre
+    total = sum(np.conj(a[j]) * np.dot(a, phid(tails - tails[j])) for j in range(r + 1))
     value = -1j * total
     if abs(value.imag) > IMAG_RESIDUE_TOLERANCE:
         raise NumericalError(f"pair-sum expectation has imaginary residue {value.imag!r}")

@@ -234,6 +234,7 @@ def test_config_coercion_failure(capsys, tmp_path):
         ("bound_kind", "maxcut", "n = 4\nlam = 0.9\nbound_kind = bogus\n"),
         ("method", "crs", "dist = twopoint:0.2\nr = 1\nmethod = bogus\n"),
         ("seed", "gmqaoa", "dist = binomial:10,0.5\nr = 1\nrestarts = 2\nseed = -1\n"),
+        ("bins", "gmqaoa", "dist = normal:0,1\nr = 1\nbins = 1000000000000000000\n"),
         ("effort_factor", "crs", "dist = twopoint:0.2\nr = 1\neffort_factor = 0\n"),
         ("t", "threshold", "dist = normal:0,1\nr = 1\nt = nan\n"),
     ],
@@ -343,12 +344,20 @@ def test_missing_config_file(capsys):
         ["pr", "--rho", "geom:1e-9,0.5,1000001", "--r", "1"],
         ["curve", "--dist", "normal:0,1", "--r", "1", "--grid", "1000000000000"],
         ["curve", "--dist", "normal:0,1", "--r", "1", "--grid", "1000001"],
+        # --bins is a grid of bins - 1 quantile points, checked before discretizing
+        ["gmqaoa", "--dist", "normal:0,1", "--bins", "1000000000000000000", "--r", "1"],
+        ["gmqaoa", "--dist", "normal:0,1", "--bins", "1000001", "--r", "1"],
+        ["gmqaoa", "--dist", "normal:0,1", "--bins", "1", "--r", "1"],
+        ["threshold", "--dist", "empirical:WIDE", "--r", "1"],  # variance overflows
     ],
 )
 def test_config_errors_exit_two(capsys, tmp_path, argv):
     triangle = tmp_path / "tri.txt"
     triangle.write_text("0 1\n1 2\n0 2\n")
-    argv = [str(triangle) if arg == "TRIANGLE" else arg for arg in argv]
+    wide = tmp_path / "wide.csv"
+    wide.write_text("-1e308,1\n1e308,1\n")
+    paths = {"TRIANGLE": str(triangle), "empirical:WIDE": f"empirical:{wide}"}
+    argv = [paths.get(arg, arg) for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")

@@ -259,11 +259,24 @@ def test_empirical_from_file_reports_line(tmp_path):
         (make_binomial, (math.nan, 0.5)),
         (make_binomial, (math.inf, 0.5)),
         (make_binomial, (MAX_BINOMIAL_TRIALS + 1, 0.5)),  # rejected before allocating
+        (make_empirical, ([(-1e308, 1), (1e308, 1)],)),  # variance overflows
+        (make_empirical, ([(-1e308, 1), (0.0, 1)],)),
     ],
 )
 def test_factory_domain_validation(factory, args):
     with pytest.raises(DomainError):
         factory(*args)
+
+
+def test_wide_support_is_checked_without_overflow_warnings():
+    # neighbours 2e308 apart: a difference would overflow to inf and warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectrum = DiscreteSpectrum.from_masses([-1e308, 1e308], [0.5, 0.5])
+        for pairs in ([(-1e308, 1), (1e308, 1)], [(1e308, 1), (-1e308, 1)]):
+            with pytest.raises(DomainError):
+                make_empirical(pairs)
+    assert spectrum.values.tolist() == [-1e308, 1e308]
 
 
 # Any double: nan, +-inf, subnormals and the largest values, plus

@@ -16,7 +16,6 @@ from thqaoa.dist_core import discretize_equal_mass
 from thqaoa.dist_models import make_empirical, make_normal, make_reflected_gamma, make_two_point
 from thqaoa.errors import ConvergenceWarning, DomainError
 from thqaoa.gmqaoa import (
-    PAIR_SUM_MAX_ROUNDS,
     characteristic_function,
     expectation_from_state,
     expectation_pair_sum,
@@ -238,9 +237,10 @@ def test_pair_sum_matches_literal_subset_expansion():
 
 def test_pair_sum_matches_simulator():
     rng = np.random.default_rng(10)
-    for _ in range(10):
+    # ten random depths 1..5, then two deep schedules
+    for depth in (None,) * 10 + (13, 40):
         law = random_discrete_law(rng, max_atoms=15)
-        sched = random_schedule(rng, int(rng.integers(1, 6)))
+        sched = random_schedule(rng, int(rng.integers(1, 6)) if depth is None else depth)
         e_sim = expectation_from_state(simulate(law, identity_phase, sched))
         assert expectation_pair_sum(law, sched) == pytest.approx(e_sim, abs=1e-9)
 
@@ -263,11 +263,7 @@ def test_pair_sum_normal_matches_discretized_simulator():
     assert exact == pytest.approx(approx, abs=5e-4)
 
 
-def test_pair_sum_round_cap():
-    law = make_two_point(0.3)
-    r = PAIR_SUM_MAX_ROUNDS + 1
-    with pytest.raises(DomainError):
-        expectation_pair_sum(law, AngleSchedule((0.1,) * r, (0.1,) * r))
+def test_pair_sum_needs_characteristic_functions():
     with pytest.raises(DomainError):
         expectation_pair_sum(make_reflected_gamma(2.0, 1.0), AngleSchedule((0.1,), (0.1,)))
 
