@@ -48,7 +48,7 @@ rejected.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import math
 import os
 import sys
@@ -263,26 +263,62 @@ def _parse_grid(spec: str):
 # CSV output
 
 
+def _quote(text: str) -> str:
+    """A text cell under minimal quoting: wrapped in double quotes, with
+    inner quotes doubled, when it holds a comma, a quote or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _format_cell(value: object) -> str:
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    return _quote(str(value))
+
+
+# Exact-type fast paths of _format_cell for the cell types the handlers
+# emit.  np.float64 subclasses float, and float.__repr__ gives its
+# shortest round trip (its own repr reads "np.float64(...)").
+_CELL_FORMATS: Dict[type, Callable[[Any], str]] = {
+    float: float.__repr__,
+    np.float64: float.__repr__,
+    int: int.__repr__,
+    np.int64: str,
+    bool: str,
+    str: _quote,
+    type(None): lambda _: "",
+}
 
 
 def _write_csv(out: Optional[str], header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    def emit(handle) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+    """Write the header and rows as CSV lines ending in ``\n``, one row at a time.
+
+    Cells: ``None`` is empty; Python and numpy floats use the shortest
+    round-trip ``repr``; anything else is ``str``, quoted as
+    :func:`_quote` says (the handlers' text cells are identifiers, which
+    never need it).  A row whose only cell is empty is written ``""``
+    so that it does not read as a blank line.  These are the bytes that
+    ``csv.writer(handle, lineterminator="\n")`` writes for the same cells
+    as strings; the tests compare the two on arbitrary rows.
+    """
+    get_format = _CELL_FORMATS.get
+
+    def lines():
+        for row in itertools.chain((header,), rows):
+            cells = [get_format(type(cell), _format_cell)(cell) for cell in row]
+            if len(cells) == 1 and not cells[0]:
+                yield '""\n'
+            else:
+                yield ",".join(cells) + "\n"
 
     if out is None or out == "-":
-        emit(sys.stdout)
+        sys.stdout.writelines(lines())
     else:
         with open(out, "w", newline="") as handle:
-            emit(handle)
+            handle.writelines(lines())
 
 
 # --------------------------------------------------------------------------

@@ -117,24 +117,35 @@ class DiscreteSpectrum:
         so even masses around 1e-180 (huge solution-space counts) keep
         full relative precision.
         """
-        v = np.asarray(values, dtype=np.float64)
-        mults = [int(c) for c in multiplicities]
-        if len(mults) != v.size:
-            raise DomainError("values and multiplicities must have equal length")
-        if any(c <= 0 for c in mults):
-            raise DomainError("multiplicities must be positive integers")
-        total = sum(mults)
-        _validate_support(v, np.ones_like(v))
-        scaled, den = _integer_numerators(v)
+        return _spectrum_from_multiplicities(values, multiplicities)[0]
 
-        def ratios(numerators, denominator) -> np.ndarray:
-            return np.array([k / denominator for k in numerators], dtype=np.float64)
 
-        masses = ratios(mults, total)
-        mass_prefix = ratios(accumulate(mults), total)
-        gain_prefix = ratios(accumulate(map(mul, scaled, mults)), den * total)
-        mass_suffix = ratios(list(accumulate(reversed(mults)))[::-1], total)
-        return DiscreteSpectrum(v, masses, mass_prefix, gain_prefix, mass_suffix)
+def _spectrum_from_multiplicities(
+    values: Sequence[float], multiplicities: Sequence[int]
+) -> Tuple[DiscreteSpectrum, List[int], List[int], int]:
+    """:meth:`DiscreteSpectrum.from_multiplicities`, also returning the
+    integer counts ``c_i``, the numerators ``k_i`` and the power of two
+    ``D`` with ``values[i] == k_i / D``, so that exact moments need no
+    second pass over the values."""
+    v = np.asarray(values, dtype=np.float64)
+    mults = [int(c) for c in multiplicities]
+    if len(mults) != v.size:
+        raise DomainError("values and multiplicities must have equal length")
+    if any(c <= 0 for c in mults):
+        raise DomainError("multiplicities must be positive integers")
+    total = sum(mults)
+    _validate_support(v, np.ones_like(v))
+    scaled, den = _integer_numerators(v)
+
+    def ratios(numerators, denominator) -> np.ndarray:
+        return np.array([k / denominator for k in numerators], dtype=np.float64)
+
+    masses = ratios(mults, total)
+    mass_prefix = ratios(accumulate(mults), total)
+    gain_prefix = ratios(accumulate(map(mul, scaled, mults)), den * total)
+    mass_suffix = ratios(list(accumulate(reversed(mults)))[::-1], total)
+    spectrum = DiscreteSpectrum(v, masses, mass_prefix, gain_prefix, mass_suffix)
+    return spectrum, mults, scaled, den
 
 
 def _integer_numerators(values: np.ndarray) -> Tuple[List[int], int]:

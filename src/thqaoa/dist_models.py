@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import csv
 import math
+from operator import mul
 from typing import Iterable, Tuple
 
 import numpy as np
 from scipy import special
 
-from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum, _integer_numerators
+from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum, _spectrum_from_multiplicities
 from .errors import DomainError
 
 __all__ = [
@@ -295,27 +296,31 @@ class EmpiricalLaw(DiscreteLaw):
         mean = S1 / (N D),    var = (N S2 - S1^2) / (N^2 D^2),
 
     each rounded once by an int/int true division (then ``sqrt`` for the
-    standard deviation).
+    standard deviation).  A variance past the largest double is divided
+    by a power of four before the division and its root multiplied by
+    the matching power of two; both scalings are exact, so the standard
+    deviation, at most half the value range, is the same as if the
+    variance had fit.
     """
 
     def __init__(self, pairs: Iterable[Tuple[float, int]]):
-        pairs = [(float(v), int(c)) for v, c in pairs]
+        pairs = list(pairs)
         if not pairs:
             raise DomainError("empirical law needs at least one (value, multiplicity) pair")
-        values = [v for v, _ in pairs]
-        counts = [c for _, c in pairs]
-        spectrum = DiscreteSpectrum.from_multiplicities(values, counts)
+        spectrum, counts, scaled, den = _spectrum_from_multiplicities(
+            [float(v) for v, _ in pairs], [c for _, c in pairs]
+        )
         total = sum(counts)
-        scaled, den = _integer_numerators(spectrum.values)
-        s1 = sum(k * c for k, c in zip(scaled, counts))
-        s2 = sum(k * k * c for k, c in zip(scaled, counts))
-        try:
-            var = (total * s2 - s1 * s1) / (total * total * den * den)
-        except OverflowError:
-            # sqrt(var) would fit (it is at most half the value range), but
-            # var itself is past the largest double
-            raise DomainError("empirical law's variance overflows a double") from None
-        super().__init__(spectrum, mean=s1 / (total * den), std=math.sqrt(var))
+        weighted = list(map(mul, scaled, counts))
+        s1 = sum(weighted)
+        s2 = sum(map(mul, scaled, weighted))
+        var_num = total * s2 - s1 * s1
+        var_den = total * total * den * den
+        # var = var_num / var_den fits a double below 2**1024; beyond that,
+        # var / 4**e keeps about 2**1000 and std = sqrt(var / 4**e) * 2**e.
+        e = max(0, (var_num.bit_length() - var_den.bit_length()) // 2 - 500)
+        std = math.ldexp(math.sqrt(var_num / (var_den << 2 * e)), e)
+        super().__init__(spectrum, mean=s1 / (total * den), std=std)
         self.multiplicities = tuple(counts)
         self.total_count = total
 

@@ -299,15 +299,20 @@ _FIG9_PANELS = (
 
 
 def fig9_rows(bound_kind: str = "max_amplification") -> Tuple[Header, List[Row]]:
-    rows: List[Row] = []
-    for panel, lam, n_lo, n_hi in _FIG9_PANELS:
-        for n in range(n_lo, n_hi + 1):
-            try:
-                r: Optional[int] = maxcut.min_rounds_for_ratio(n, lam, bound_kind)
-            except DomainError:
-                r = None  # not attainable within the round-search limit
-            rows.append((panel, lam, n, r))
-    return ("panel", "lam", "n", "r"), rows
+    # One exact law per part size serves every panel and ratio at that size.
+    panel_rows: List[List[Row]] = [[] for _ in _FIG9_PANELS]
+    n_lo = min(panel[2] for panel in _FIG9_PANELS)
+    n_hi = max(panel[3] for panel in _FIG9_PANELS)
+    for n in range(n_lo, n_hi + 1):
+        law = maxcut.knn_spectrum(n, frame="y")
+        for rows, (panel, lam, lo, hi) in zip(panel_rows, _FIG9_PANELS):
+            if lo <= n <= hi:
+                try:
+                    r: Optional[int] = maxcut._min_rounds_on_law(law, n, lam, bound_kind)
+                except DomainError:
+                    r = None  # not attainable within the round-search limit
+                rows.append((panel, lam, n, r))
+    return ("panel", "lam", "n", "r"), [row for rows in panel_rows for row in rows]
 
 
 FIGURE_GENERATORS = {

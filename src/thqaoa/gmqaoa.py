@@ -59,7 +59,8 @@ __all__ = [
     "optimize_angles",
 ]
 
-#: Tolerance on the imaginary residue of the pair-sum total.
+#: Tolerance on the imaginary residue of the pair-sum total, relative to
+#: the law's scale sqrt(E[X^2]) when that exceeds 1.
 IMAG_RESIDUE_TOLERANCE = 1e-9
 
 #: Evaluation and iteration cap of one angle-search restart, per layer.
@@ -215,7 +216,8 @@ def expectation_pair_sum(dist: Distribution, angles: AngleSchedule) -> float:
     row) at a time.  For a discrete law with n atoms each evaluation is a
     sum over the atoms, so the cost is O(r^2 n) -- more than the
     simulator's O(r n) -- with O(r n) memory.  The imaginary residue of
-    the total must stay below 1e-9.
+    the total must stay below 1e-9 times the law's scale
+    ``sqrt(E[X^2]) >= |phi'|``, or below 1e-9 when that scale is under 1.
     """
     phi = getattr(dist, "characteristic_function", None)
     phid = getattr(dist, "characteristic_derivative", None)
@@ -233,7 +235,8 @@ def expectation_pair_sum(dist: Distribution, angles: AngleSchedule) -> float:
     tails = pre[r] - pre
     total = sum(np.conj(a[j]) * np.dot(a, phid(tails - tails[j])) for j in range(r + 1))
     value = -1j * total
-    if abs(value.imag) > IMAG_RESIDUE_TOLERANCE:
+    scale = max(1.0, math.hypot(dist.mean, dist.std))
+    if abs(value.imag) > IMAG_RESIDUE_TOLERANCE * scale:
         raise NumericalError(f"pair-sum expectation has imaginary residue {value.imag!r}")
     return float(value.real)
 

@@ -33,7 +33,7 @@ import numpy as np
 from .bounds import _floor_terms
 from .dist_models import EmpiricalLaw
 from .errors import DomainError, NumericalError
-from .gmth import min_rounds_exact_opt, optimize_threshold
+from .gmth import _optimize_discrete, _threshold_objective, min_rounds_exact_opt
 
 __all__ = [
     "BipartiteSpectrum",
@@ -145,24 +145,36 @@ def _check_part_size(n: int) -> int:
 def bipartite_spectrum(n: int) -> BipartiteSpectrum:
     """Exact mean-centered Max-Cut spectrum of K_{n,n}.
 
-    Tallies the cost ``(n - 2j)(n - 2k)/2`` with multiplicity
-    ``C(n,j) * C(n,k)`` over all ``0 <= j, k <= n``, merging equal
-    costs.  Costs are half-integers, exactly representable in floating
-    point; counts stay exact integers.
+    The cost ``(n - 2j)(n - 2k)/2`` has multiplicity ``C(n,j) * C(n,k)``
+    over ``0 <= j, k <= n``; equal costs are merged.  Writing
+    ``a = n - 2j`` and ``b = n - 2k``, the weight ``w(a) = C(n,j)``
+    depends on ``|a|`` alone (``C(n,j) = C(n,n-j)``) and ``a*b = b*a``,
+    so the tally runs over ``0 < |a| <= |b|`` only.  Each product
+    ``w(|a|) w(|b|)`` counts the sign choices and the swap of ``a`` and
+    ``b`` at once, and splits evenly between the costs ``+|a||b|/2`` and
+    ``-|a||b|/2``; the cost 0 (even ``n`` only) takes the rest of the
+    ``4^n`` assignments.  Costs are half-integers, exactly representable
+    in floating point; counts stay exact integers.
     """
     n = _check_part_size(n)
-    comb = [math.comb(n, j) for j in range(n + 1)]
-    # Key by the integer 2*cost so merging is exact.
-    tally: Dict[int, int] = {}
-    for j in range(n + 1):
-        cj = comb[j]
-        a = n - 2 * j
-        for k in range(n + 1):
-            key = a * (n - 2 * k)
-            count = cj * comb[k]
-            tally[key] = tally.get(key, 0) + count
-    atoms = tuple((doubled / 2.0, tally[doubled]) for doubled in sorted(tally))
-    return BipartiteSpectrum(n=n, atoms=atoms, M=4**n)
+    # (|a|, w(|a|)) for |a| = n, n-2, ..., down to 1 or 2.
+    sides = [(n - 2 * j, math.comb(n, j)) for j in range((n + 1) // 2)]
+    # Keyed by the integer 2*|cost|, so merging is exact.  An entry holds
+    # half the count of each of its two signs.
+    half: Dict[int, int] = {}
+    for i, (a, wa) in enumerate(sides):
+        key = a * a
+        half[key] = half.get(key, 0) + wa * wa
+        wa2 = 2 * wa
+        for b, wb in sides[i + 1:]:
+            key = a * b
+            half[key] = half.get(key, 0) + wa2 * wb
+    keys = sorted(half)
+    negative = [(-doubled / 2.0, 2 * half[doubled]) for doubled in reversed(keys)]
+    positive = [(doubled / 2.0, 2 * half[doubled]) for doubled in keys]
+    M = 4**n
+    zero = [(0.0, M - 4 * sum(half.values()))] if n % 2 == 0 else []
+    return BipartiteSpectrum(n=n, atoms=tuple(negative + zero + positive), M=M)
 
 
 def knn_spectrum(n: int, frame: str = "y") -> EmpiricalLaw:
@@ -258,13 +270,33 @@ def _achieved_ratio(law_y: EmpiricalLaw, n: int, r: int, bound_kind: str) -> flo
     """Approximation ratio reached at r rounds on K_{n,n}.
 
     ``lam = E_x / R_min_x`` with ``E_x = E_y - n^2/2`` and
-    ``R_min_x = -n^2``, i.e. ``lam = 1/2 - E_y / n^2``.
+    ``R_min_x = -n^2``, i.e. ``lam = 1/2 - E_y / n^2``.  The ``"gmth"``
+    expectation is the optimized threshold's ``E_r`` alone: the same
+    objective call that :func:`~thqaoa.gmth.optimize_threshold` makes at
+    its optimum, without the rest of the report.
     """
     if bound_kind == "max_amplification":
         _, _, expectation = _floor_terms(law_y, r)
     else:
-        expectation = optimize_threshold(law_y, r).E_r
+        expectation = _threshold_objective(law_y, r)(_optimize_discrete(law_y, r))
     return 0.5 - expectation / float(n * n)
+
+
+def _check_target(lam: float, bound_kind: str) -> None:
+    if not (0.0 < lam <= 1.0):
+        raise DomainError(f"approximation ratio must lie in (0, 1], got {lam!r}")
+    if bound_kind not in _BOUND_KINDS:
+        raise DomainError(f"bound_kind must be one of {_BOUND_KINDS}, got {bound_kind!r}")
+
+
+def _max_amplification_rounds_to_optimum(n: int) -> int:
+    """``ceil(2^{(2n-3)/2})``, at least 1."""
+    exponent = 2 * n - 3
+    if exponent < 0:
+        return 1
+    power = 1 << exponent
+    root = math.isqrt(power)
+    return root if root * root == power else root + 1
 
 
 def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplification") -> int:
@@ -280,7 +312,7 @@ def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplificatio
       depend on the law alone.  At ``lam = 1`` this branch returns the
       closed form ``ceil(2^{(2n-3)/2})``, the smallest r with
       ``(2r)^2`` amplified draws covering the ``M / 2`` solutions per
-      optimal assignment.
+      optimal assignment, without building the spectrum.
     * ``"gmth"`` -- the optimized threshold expectation; at ``lam = 1``
       this is the smallest r whose amplification window reaches
       probability one on the optimal class alone.
@@ -291,21 +323,20 @@ def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplificatio
     raise ``DomainError``.
     """
     n = _check_part_size(n)
-    if not (0.0 < lam <= 1.0):
-        raise DomainError(f"approximation ratio must lie in (0, 1], got {lam!r}")
-    if bound_kind not in _BOUND_KINDS:
-        raise DomainError(f"bound_kind must be one of {_BOUND_KINDS}, got {bound_kind!r}")
+    _check_target(lam, bound_kind)
+    if lam == 1.0 and bound_kind == "max_amplification":
+        return _max_amplification_rounds_to_optimum(n)
+    return _min_rounds_on_law(knn_spectrum(n, frame="y"), n, lam, bound_kind)
 
-    law_y = knn_spectrum(n, frame="y")
+
+def _min_rounds_on_law(law_y: EmpiricalLaw, n: int, lam: float, bound_kind: str) -> int:
+    """:func:`min_rounds_for_ratio` on ``law_y = knn_spectrum(n, "y")``
+    built by the caller, so that one law serves several targets."""
+    _check_target(lam, bound_kind)
     if lam == 1.0:
         if bound_kind == "gmth":
             return max(1, min_rounds_exact_opt(law_y))
-        exponent = 2 * n - 3
-        if exponent < 0:
-            return 1
-        power = 1 << exponent
-        root = math.isqrt(power)
-        return root if root * root == power else root + 1
+        return _max_amplification_rounds_to_optimum(n)
 
     previous = -math.inf
     r = 1

@@ -11,6 +11,7 @@ are inspected for their raw parameters.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from fractions import Fraction
@@ -321,6 +322,41 @@ def maxcut_cut_counts(
 def complete_bipartite_edges(n: int) -> List[Tuple[int, int]]:
     """Edge list of K_{n,n} with parts {0..n-1} and {n..2n-1}."""
     return [(i, n + j) for i in range(n) for j in range(n)]
+
+
+def bipartite_tally_reference(n: int) -> Tuple[Tuple[float, int], ...]:
+    """Mean-centered K_{n,n} spectrum as ascending ``(cost, count)`` atoms,
+    by the literal double loop: cost ``(n - 2j)(n - 2k)/2`` with count
+    ``C(n,j) * C(n,k)`` for every ``0 <= j, k <= n``."""
+    comb = [math.comb(n, j) for j in range(n + 1)]
+    tally: Dict[int, int] = {}  # keyed by 2*cost, so merging is exact
+    for j in range(n + 1):
+        for k in range(n + 1):
+            key = (n - 2 * j) * (n - 2 * k)
+            tally[key] = tally.get(key, 0) + comb[j] * comb[k]
+    return tuple((doubled / 2.0, tally[doubled]) for doubled in sorted(tally))
+
+
+# ---------------------------------------------------------------------------
+# CSV output through the standard library writer
+# ---------------------------------------------------------------------------
+
+
+def csv_writer_reference(handle, header: Sequence[object], rows: Iterable[Sequence[object]]) -> None:
+    """The header and rows through ``csv.writer(lineterminator="\\n")``,
+    each cell formatted first: ``None`` empty, Python and numpy floats by
+    ``repr(float(x))``, anything else by ``str``."""
+
+    def text(cell: object) -> str:
+        if cell is None:
+            return ""
+        if isinstance(cell, (float, np.floating)):
+            return repr(float(cell))
+        return str(cell)
+
+    writer = csv.writer(handle, lineterminator="\n")
+    for row in itertools.chain((header,), rows):
+        writer.writerow([text(cell) for cell in row])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from thqaoa import cli
 from thqaoa.dist_core import Distribution
 from thqaoa.errors import ConfigError, DomainError, NumericalError
@@ -177,6 +179,62 @@ def test_out_flag_writes_identical_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert path.read_text() == stdout_text
+
+
+def _written(tmp_path, write, header, rows):
+    """The bytes a CSV writer leaves in a fresh file, or the type of the
+    exception it raised."""
+    path = tmp_path / f"out{len(list(tmp_path.iterdir()))}.csv"
+    try:
+        write(str(path), header, rows)
+    except Exception as exc:  # both writers must fail alike
+        return type(exc)
+    return path.read_bytes()
+
+
+def _reference_write(path, header, rows):
+    with open(path, "w", newline="") as handle:
+        oracles.csv_writer_reference(handle, header, rows)
+
+
+def test_csv_writer_matches_stdlib_writer_on_every_cell_type(tmp_path):
+    header = ("panel", "lam", "n", "r", "count", "mass", "flag", "label")
+    rows = [
+        ("b", 16.0 / 17.0, 4, None, 4**300 - 1, 1.5777218104420236e-30, True, "max_amplification"),
+        ("c", np.float64(0.52), np.int64(-7), 2**63, 10**180, np.float64(-0.0), False, "gmth"),
+        (None, math.inf, -math.inf, math.nan, np.float32(0.1), 5e-324, np.bool_(True), np.int32(3)),
+        (1e16, 1e-5, 123456789.0, -0.0, 0, -1, "", "fig9"),
+        (None,),
+        ("",),
+        (),
+        ("a,b", 'say "hi"', "two\nlines", "cr\rin", " padded ", "\x00", "é", "x"),
+    ]
+    got = _written(tmp_path, cli._write_csv, header, rows)
+    assert isinstance(got, bytes)
+    assert got == _written(tmp_path, _reference_write, header, rows)
+
+
+_CELLS = st.one_of(
+    st.none(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.text(),
+    st.sampled_from(["", ",", '"', "\n", "\r", "\r\n", " "]),
+)
+
+
+@given(
+    header=st.lists(st.text(), max_size=4),
+    rows=st.lists(st.lists(_CELLS, max_size=4), max_size=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_csv_writer_matches_stdlib_writer_on_any_row(tmp_path_factory, header, rows):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    got = _written(tmp_path, cli._write_csv, header, rows)
+    assert got == _written(tmp_path, _reference_write, header, rows)
 
 
 def test_unwritable_out_path_is_io_error(capsys):
@@ -348,20 +406,29 @@ def test_missing_config_file(capsys):
         ["gmqaoa", "--dist", "normal:0,1", "--bins", "1000000000000000000", "--r", "1"],
         ["gmqaoa", "--dist", "normal:0,1", "--bins", "1000001", "--r", "1"],
         ["gmqaoa", "--dist", "normal:0,1", "--bins", "1", "--r", "1"],
-        ["threshold", "--dist", "empirical:WIDE", "--r", "1"],  # variance overflows
     ],
 )
 def test_config_errors_exit_two(capsys, tmp_path, argv):
     triangle = tmp_path / "tri.txt"
     triangle.write_text("0 1\n1 2\n0 2\n")
-    wide = tmp_path / "wide.csv"
-    wide.write_text("-1e308,1\n1e308,1\n")
-    paths = {"TRIANGLE": str(triangle), "empirical:WIDE": f"empirical:{wide}"}
-    argv = [paths.get(arg, arg) for arg in argv]
+    argv = [str(triangle) if arg == "TRIANGLE" else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("magnitude", ["1e200", "1e308"])
+def test_empirical_law_whose_variance_overflows_runs(capsys, tmp_path, magnitude):
+    # the variance passes the largest double, the standard deviation does not
+    wide = tmp_path / "wide.csv"
+    wide.write_text(f"-{magnitude},1\n{magnitude},1\n")
+    code, out, err = run_cli(capsys, "threshold", "--dist", f"empirical:{wide}", "--r", "1")
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    report = dict(zip(header, rows[0]))
+    assert float(report["t_opt"]) == -float(magnitude)
+    assert float(report["c_r"]) == 1.0  # one round marks the lower atom with certainty
 
 
 def test_maxcut_graph_with_lam_rejected(capsys, tmp_path):

@@ -259,8 +259,6 @@ def test_empirical_from_file_reports_line(tmp_path):
         (make_binomial, (math.nan, 0.5)),
         (make_binomial, (math.inf, 0.5)),
         (make_binomial, (MAX_BINOMIAL_TRIALS + 1, 0.5)),  # rejected before allocating
-        (make_empirical, ([(-1e308, 1), (1e308, 1)],)),  # variance overflows
-        (make_empirical, ([(-1e308, 1), (0.0, 1)],)),
     ],
 )
 def test_factory_domain_validation(factory, args):
@@ -273,10 +271,61 @@ def test_wide_support_is_checked_without_overflow_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spectrum = DiscreteSpectrum.from_masses([-1e308, 1e308], [0.5, 0.5])
-        for pairs in ([(-1e308, 1), (1e308, 1)], [(1e308, 1), (-1e308, 1)]):
-            with pytest.raises(DomainError):
-                make_empirical(pairs)
+        law = make_empirical([(-1e308, 1), (1e308, 1)])
+        with pytest.raises(DomainError):
+            make_empirical([(1e308, 1), (-1e308, 1)])  # descending
     assert spectrum.values.tolist() == [-1e308, 1e308]
+    assert law.spectrum.values.tolist() == [-1e308, 1e308]
+
+
+@pytest.mark.parametrize(
+    "pairs, mean, std",
+    [
+        ([(-1e308, 1), (1e308, 1)], 0.0, 1e308),
+        ([(-1e308, 1), (0.0, 1)], -5e307, 5e307),
+        ([(-1e200, 1), (1e200, 1)], 0.0, 1e200),
+        ([(-1e200, 3), (1e200, 1)], -5e199, math.sqrt(0.75) * 1e200),
+    ],
+)
+def test_empirical_std_fits_where_the_variance_overflows(pairs, mean, std):
+    # var = std^2 is past the largest double; std, at most half the
+    # value range, is not
+    law = make_empirical(pairs)
+    assert law.mean == mean
+    assert law.std == pytest.approx(std, rel=2**-52)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    values=st.lists(_FINITE, min_size=1, max_size=6, unique=True),
+    counts=st.lists(st.integers(1, 2**80), min_size=6, max_size=6),
+)
+@settings(max_examples=400, deadline=None)
+def test_empirical_std_is_the_root_of_the_rounded_variance(values, counts):
+    import mpmath
+
+    values = sorted(values)
+    counts = counts[: len(values)]
+    var = oracles.fraction_spectrum(values, counts)["var"]
+    try:
+        float_var = float(var)
+    except OverflowError:
+        # the variance overflows a double: std is the root of the exact
+        # variance within one rounding of each step
+        law = make_empirical(zip(values, counts))
+        with mpmath.workprec(200):
+            exact = float(mpmath.sqrt(mpmath.mpf(var.numerator) / var.denominator))
+        assert abs(law.std - exact) <= math.ulp(exact), (law.std, exact)
+        return
+    if float_var == 0.0:  # one atom, or a variance below the smallest subnormal
+        with pytest.raises(DomainError):
+            make_empirical(zip(values, counts))
+        return
+    # the variance fits: sqrt of the once-rounded variance, bit for bit
+    law = make_empirical(zip(values, counts))
+    assert law.std.hex() == math.sqrt(float_var).hex()
 
 
 # Any double: nan, +-inf, subnormals and the largest values, plus

@@ -245,6 +245,19 @@ def test_pair_sum_matches_simulator():
         assert expectation_pair_sum(law, sched) == pytest.approx(e_sim, abs=1e-9)
 
 
+def test_pair_sum_residue_check_is_relative_to_the_law_scale():
+    # costs of order 1e9 with phases scaled by 1e-9: the same unit-free
+    # problem as at scale 1, whose residue grows with the costs
+    rng = np.random.default_rng(2)
+    values = np.sort(rng.normal(0.0, 3.0, 12)) * 1e9
+    law = make_empirical(list(zip(values.tolist(), (int(c) for c in rng.integers(1, 20, 12)))))
+    sched = AngleSchedule(
+        tuple(rng.uniform(0.0, 2.0 * math.pi, 5)), tuple(rng.uniform(-math.pi, math.pi, 5) * 1e-9)
+    )
+    e_sim = expectation_from_state(simulate(law, identity_phase, sched))
+    assert expectation_pair_sum(law, sched) == pytest.approx(e_sim, rel=1e-12)
+
+
 def test_pair_sum_normal_single_layer_closed_form():
     # standard normal, one layer: E(beta, gamma) = 2 gamma e^{-gamma^2} sin(beta)
     law = make_normal(0.0, 1.0)

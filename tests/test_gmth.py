@@ -331,10 +331,11 @@ def test_golden_section_optima_bit_pinned():
 
 # sha256 of the `reproduce` CSV bytes, recorded with numpy 2.4.6 and
 # scipy 1.17.1: fig1 is c_th per round, fig5 the binomial and normal
-# threshold optima.
+# threshold optima, fig8 the exact K_{50,50} law (counts, masses, cdf).
 _PINNED_REPRODUCE_SHA256 = {
     "fig1": "cb6408bdd28a598c7cc6b8b66f97da129c253afc01fbe0eadd0fd01941974a44",
     "fig5": "53acc7469db8b421684e2d3179b91096282f8972f1e263291d8b74aea427188c",
+    "fig8": "c32ef603fb0f246a25d93a85a787715acb2771c1d74157da18c2f06726e9b497",
 }
 
 
@@ -343,6 +344,29 @@ def test_reproduce_csv_bytes_pinned(target, tmp_path):
     out = tmp_path / f"{target}.csv"
     assert cli.run(["reproduce", target, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_REPRODUCE_SHA256[target]
+
+
+# sha256 of exact-spectrum CSV bytes, recorded like the pins above: the
+# K_{300,300} law (181-digit counts) and the amplification-floor report
+# on K_{50,50} over a 4429-round grid.
+_PINNED_CLI_SHA256 = {
+    "maxcut-n300": (
+        ["maxcut", "--n", "300"],
+        "477b263fdf99f776c95a05627d82e10edfd3ad958e87b68f6bd5b68424ad8815",
+    ),
+    "bound-knn50": (
+        ["bound", "--dist", "knn:50", "--r", "pow2:100,5000"],
+        "2d23abc86572f882ed7c2fe134489f2ccc670d0f6dffeb2d3898eeb847077800",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CLI_SHA256))
+def test_exact_spectrum_csv_bytes_pinned(name, tmp_path):
+    argv, digest = _PINNED_CLI_SHA256[name]
+    out = tmp_path / f"{name}.csv"
+    assert cli.run([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from thqaoa import maxcut
 from thqaoa.errors import DomainError
 from thqaoa.maxcut import (
     MAX_BRUTE_FORCE_VERTICES,
@@ -90,11 +91,20 @@ def test_brute_force_spectrum_matches_oracle_on_random_graphs():
 
 
 def test_brute_force_agrees_with_closed_form_bipartite():
-    for n in (2, 4):
+    for n in range(1, 9):
         direct = brute_force_spectrum(complete_bipartite_instance(n), frame="y")
         closed = knn_spectrum(n, frame="y")
         assert np.allclose(direct.spectrum.values, closed.spectrum.values)
         assert direct.multiplicities == closed.multiplicities
+
+
+def test_folded_spectrum_equals_literal_tally():
+    # the symmetry fold against the (n + 1)^2 double loop: same atoms,
+    # same float bits (no -0.0), same exact counts
+    for n in (*range(1, 121), 299, MAX_PART_SIZE):
+        atoms = bipartite_spectrum(n).atoms
+        reference = oracles.bipartite_tally_reference(n)
+        assert [(v.hex(), c) for v, c in atoms] == [(v.hex(), c) for v, c in reference], n
 
 
 def test_spectrum_part_size_limits():
@@ -216,6 +226,40 @@ def test_min_rounds_gmth_exact_is_certainty_count():
         assert min_rounds_for_ratio(n, 1.0, bound_kind="gmth") == max(
             1, min_rounds_exact_opt(law)
         )
+
+
+def test_min_rounds_closed_form_builds_no_spectrum(monkeypatch):
+    # lam = 1 under the amplification floor is a closed form in n
+    expected = [min_rounds_for_ratio(n, 1.0) for n in (1, 5, 60)]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("spectrum built for a closed-form answer")
+
+    monkeypatch.setattr(maxcut, "knn_spectrum", no_build)
+    monkeypatch.setattr(maxcut, "bipartite_spectrum", no_build)
+    assert [min_rounds_for_ratio(n, 1.0) for n in (1, 5, 60)] == expected
+
+
+def test_min_rounds_on_prebuilt_law_matches_public_search():
+    for n in (3, 7, 12):
+        law = knn_spectrum(n, frame="y")
+        for kind in ("max_amplification", "gmth"):
+            for lam in (0.52, 0.8786, 16.0 / 17.0, 1.0):
+                assert maxcut._min_rounds_on_law(law, n, lam, kind) == min_rounds_for_ratio(
+                    n, lam, bound_kind=kind
+                )
+    with pytest.raises(DomainError):
+        maxcut._min_rounds_on_law(knn_spectrum(5), 5, 0.5, "magic")
+
+
+def test_gmth_achieved_ratio_is_the_optimized_report_bit_for_bit():
+    from thqaoa.gmth import optimize_threshold
+
+    for n in (4, 9, 30):
+        law = knn_spectrum(n, frame="y")
+        for r in (1, 2, 3, 10, 1000, 10**6):
+            expected = 0.5 - optimize_threshold(law, r).E_r / float(n * n)
+            assert maxcut._achieved_ratio(law, n, r, "gmth").hex() == expected.hex()
 
 
 def test_min_rounds_validation():
