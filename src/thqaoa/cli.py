@@ -286,8 +286,6 @@ _CELL_FORMATS: Dict[type, Callable[[Any], str]] = {
     float: float.__repr__,
     np.float64: float.__repr__,
     int: int.__repr__,
-    np.int64: str,
-    bool: str,
     str: _quote,
     type(None): lambda _: "",
 }
