@@ -20,11 +20,13 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate, special
 
-from .dist_core import DiscreteLaw, Distribution
+from .dist_core import DiscreteLaw, Distribution, _lazy_import
 from .errors import DomainError, NumericalError
 from .grover_kernel import _check_rounds
+
+integrate = _lazy_import("scipy.integrate")
+special = _lazy_import("scipy.special")
 
 __all__ = [
     "BLOM_CONTINUITY_CONSTANT",

@@ -375,7 +375,8 @@ def _cmd_pr(cfg: ExperimentConfig):
             p = grover_probability(rho, r)
             in_poly_domain = r <= POLY_MAX_ROUNDS and rho <= rho_th
             p_poly = grover_probability_poly(rho, r) if in_poly_domain else None
-            rows.append((r, rho, rho_th, p, p_poly, p / rho))
+            eta = min(p / rho, float((2 * r + 1) ** 2))  # p / rho can pass the cap by an ulp
+            rows.append((r, rho, rho_th, p, p_poly, eta))
     return ("r", "rho", "rho_th", "p", "p_poly", "eta"), rows
 
 

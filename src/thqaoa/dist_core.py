@@ -20,12 +20,15 @@ evaluate to 0 at ``-inf``.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import mul
+from types import ModuleType
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,6 +45,28 @@ __all__ = [
 
 #: Total-mass consistency tolerance for discrete spectra.
 MASS_TOLERANCE = 1e-12
+
+
+def _lazy_import(name: str) -> ModuleType:
+    """Module ``name``, executed on its first attribute access.
+
+    Binds ``scipy.special`` (in ``dist_models`` and ``baselines``),
+    ``scipy.integrate`` (``baselines``) and ``scipy.optimize``
+    (``gmqaoa._sciopt`` and ``figures``), which would otherwise take
+    most of ``import thqaoa``'s time.  A module already in ``sys.modules``
+    is returned as it is.  After the first access the object is a plain
+    module, so call sites pay nothing per call.  ``gmqaoa`` keeps the
+    name ``_sciopt`` because profilers replace that attribute with a
+    proxy whose ``minimize`` counts the angle-search restarts.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

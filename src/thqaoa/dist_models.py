@@ -31,10 +31,17 @@ from operator import mul
 from typing import Iterable, Tuple
 
 import numpy as np
-from scipy import special
 
-from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum, _spectrum_from_multiplicities
+from .dist_core import (
+    ContinuousLaw,
+    DiscreteLaw,
+    DiscreteSpectrum,
+    _lazy_import,
+    _spectrum_from_multiplicities,
+)
 from .errors import DomainError
+
+special = _lazy_import("scipy.special")
 
 __all__ = [
     "NormalLaw",

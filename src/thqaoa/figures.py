@@ -41,10 +41,9 @@ import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import baselines, bounds, gmqaoa, gmth, maxcut
-from .dist_core import Distribution, discretize_equal_mass
+from .dist_core import Distribution, _lazy_import, discretize_equal_mass
 from .dist_models import (
     make_binomial,
     make_normal,
@@ -53,6 +52,8 @@ from .dist_models import (
     pareto_epsilon_for_exponent,
 )
 from .errors import DomainError
+
+optimize = _lazy_import("scipy.optimize")
 
 __all__ = [
     "fit_power_law",
@@ -112,7 +113,7 @@ def fit_power_law(r_values: Sequence[float], values: Sequence[float]) -> Tuple[f
         raise DomainError("power-law fit needs at least two (r, value) pairs of equal length")
     if np.any(r <= 0.0) or np.any(y <= 0.0):
         raise DomainError("power-law fit requires positive rounds and values")
-    (a, b), _ = curve_fit(
+    (a, b), _ = optimize.curve_fit(
         lambda x, a, b: a * np.power(x, b), r, y, p0=(1.0, 0.5), maxfev=20000
     )
     return float(a), float(b)
@@ -299,6 +300,7 @@ _FIG9_PANELS = (
 
 
 def fig9_rows(bound_kind: str = "max_amplification") -> Tuple[Header, List[Row]]:
+    maxcut._check_bound_kind(bound_kind)  # only the round search's DomainError means unattainable
     # One exact law per part size serves every panel and ratio at that size.
     panel_rows: List[List[Row]] = [[] for _ in _FIG9_PANELS]
     n_lo = min(panel[2] for panel in _FIG9_PANELS)

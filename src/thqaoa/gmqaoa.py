@@ -38,13 +38,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from ._backend import evolve
-from .dist_core import DiscreteLaw, Distribution
+from .dist_core import DiscreteLaw, Distribution, _lazy_import
 from .dist_models import NormalLaw
 from .errors import ConvergenceWarning, DomainError, NumericalError
 from .grover_kernel import AngleSchedule, _check_rounds
+
+_sciopt = _lazy_import("scipy.optimize")
 
 __all__ = [
     "CollapsedState",

@@ -169,7 +169,8 @@ def threshold_report(dist: Distribution, r: int, t: float) -> ThresholdReport:
     e_r = expectation_at_threshold(dist, r, t)
     rho = dist.cdf(t)
     p = grover_probability(rho, r) if rho > 0.0 else 0.0
-    eta = p / rho if rho > 0.0 else float((2 * r + 1) ** 2)
+    cap = float((2 * r + 1) ** 2)  # p / rho can pass it by an ulp or two as rho -> 0
+    eta = min(p / rho, cap) if rho > 0.0 else cap
     r_min = dist.r_min
     lam = e_r / r_min if math.isfinite(r_min) and r_min != 0.0 else None
     return ThresholdReport(

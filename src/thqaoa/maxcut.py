@@ -282,11 +282,15 @@ def _achieved_ratio(law_y: EmpiricalLaw, n: int, r: int, bound_kind: str) -> flo
     return 0.5 - expectation / float(n * n)
 
 
+def _check_bound_kind(bound_kind: str) -> None:
+    if bound_kind not in _BOUND_KINDS:
+        raise DomainError(f"bound_kind must be one of {_BOUND_KINDS}, got {bound_kind!r}")
+
+
 def _check_target(lam: float, bound_kind: str) -> None:
     if not (0.0 < lam <= 1.0):
         raise DomainError(f"approximation ratio must lie in (0, 1], got {lam!r}")
-    if bound_kind not in _BOUND_KINDS:
-        raise DomainError(f"bound_kind must be one of {_BOUND_KINDS}, got {bound_kind!r}")
+    _check_bound_kind(bound_kind)
 
 
 def _max_amplification_rounds_to_optimum(n: int) -> int:

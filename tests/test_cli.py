@@ -2,8 +2,9 @@
 
 import csv
 import io
-import shutil
 import math
+import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -85,6 +86,25 @@ def test_pr_certainty_and_poly_domain(capsys):
     for certain in rows[1:]:
         assert float(certain[3]) == 1.0
         assert certain[4] == ""  # at or above the threshold ratio: no polynomial value
+
+
+@pytest.mark.parametrize("r", [1, 10, 10**3, 10**6])
+def test_reported_eta_within_amplification_cap(capsys, r):
+    # P / rho passes (2r+1)^2 by an ulp or two as rho -> 0; the reports clamp it
+    rhos = ("1e-300", "1e-200", "1e-40")
+    code, out, err = run_cli(capsys, "pr", "--r", str(r), "--rho", ",".join(rhos))
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    etas = [float(row[header.index("eta")]) for row in rows]
+    for rho in rhos:
+        code, out, err = run_cli(
+            capsys, "threshold", "--dist", f"twopoint:{rho}", "--r", str(r), "--t", "-1"
+        )
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        etas.append(float(dict(zip(REPORT_HEADER, rows[0]))["eta"]))
+    assert len(etas) == 6
+    assert all(eta <= (2 * r + 1) ** 2 for eta in etas), etas
 
 
 def test_threshold_two_point_is_exact(capsys):
@@ -583,6 +603,25 @@ def test_closed_pipe_exits_cleanly():
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_startup_leaves_scipy_submodules_unloaded():
+    # A lazily bound module loads on hasattr/getattr, so only its type is
+    # inspected: a plain module means it was loaded.
+    script = (
+        "import sys, types\n"
+        "from thqaoa import cli\n"
+        "for argv in (['pr', '--rho', '0.01', '--r', '3'], ['maxcut', '--n', '20']):\n"
+        "    assert cli.run(argv) == 0\n"
+        "names = ('scipy.special', 'scipy.integrate', 'scipy.optimize')\n"
+        "loaded = [n for n in names if type(sys.modules.get(n)) is types.ModuleType]\n"
+        "sys.exit('loaded: ' + ', '.join(loaded) if loaded else 0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(

@@ -180,6 +180,12 @@ def test_fig8_exact_bipartite_spectrum():
         assert row[2] == pytest.approx(count / 4**50, rel=1e-12)
 
 
+def test_fig9_rejects_unknown_bound_kind():
+    # checked before the round searches, whose DomainError means "unattainable"
+    with pytest.raises(DomainError, match="bound_kind"):
+        figures.fig9_rows("magic")
+
+
 def test_generator_registry_complete():
     assert set(FIGURE_GENERATORS) == {f"fig{i}" for i in range(1, 10)}
     for fn in FIGURE_GENERATORS.values():

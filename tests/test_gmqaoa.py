@@ -320,6 +320,32 @@ def test_warm_start_sweep_is_monotone():
         prev = e_opt
 
 
+class _CountingOptimize:
+    """scipy.optimize with a ``minimize`` that counts its calls."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = 0
+
+    def minimize(self, *args, **kwargs):
+        self.calls += 1
+        return self._module.minimize(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+def test_each_restart_is_one_minimize_call_on_the_module_attribute(monkeypatch):
+    # profilers count restarts by replacing gmqaoa._sciopt with such a proxy
+    proxy = _CountingOptimize(gmqaoa._sciopt)
+    monkeypatch.setattr(gmqaoa, "_sciopt", proxy)
+    law = make_two_point(0.2)
+    sched, _ = optimize_angles(law, 2, restarts=3, seed=0)
+    assert proxy.calls == 3
+    optimize_angles(law, 3, restarts=3, seed=0, warm_start=sched)
+    assert proxy.calls == 3 + 4  # the warm start's INTERP stretch is one more start
+
+
 def test_warm_start_longer_than_target_rejected():
     law = make_two_point(0.2)
     sched, _ = optimize_angles(law, 3, restarts=2, seed=0)
