@@ -185,7 +185,11 @@ def _parse_rounds(spec: str) -> List[int]:
         if int(count) != count or count < 1:
             raise ConfigError(f"--r linspace count must be a positive integer, got {count!r}")
         _check_grid_size(count, "--r linspace")
-        if not math.isfinite(stop - start):
+        # np.linspace forms start + i * ((stop - start) / (count - 1)); its
+        # last point can round past the largest double when the span fits.
+        span = stop - start
+        last = start + (count - 1) * (span / (count - 1)) if count > 1 else start
+        if not (math.isfinite(span) and math.isfinite(last)):
             raise ConfigError(f"--r linspace span overflows a double, got {rest!r}")
         values = np.unique(np.rint(np.linspace(start, stop, int(count))))
         rounds = [int(v) for v in values]
@@ -409,7 +413,7 @@ def _cmd_curve(cfg: ExperimentConfig):
 def _cmd_sweep(cfg: ExperimentConfig):
     dist = _parse_dist(cfg["dist"])
     rounds = _parse_rounds(cfg["r"])
-    rows = [_report_row(gmth.optimize_threshold(dist, r)) for r in rounds]
+    rows = [_report_row(report) for report in gmth.optimize_thresholds(dist, rounds)]
     return _REPORT_HEADER, rows
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from types import ModuleType
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +67,19 @@ def _lazy_import(name: str) -> ModuleType:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _math_map(f: Callable[..., float], x: np.ndarray, *args: Iterable[float]) -> np.ndarray:
+    """``f`` from :mod:`math` applied to each element of ``x``, as float64.
+
+    numpy's ``exp``, ``arcsin``, ``sin`` and ``power`` are not the C
+    library's: they differ from :mod:`math` in the last bit on a few
+    percent of doubles.  Array code that must equal a scalar ``math``
+    computation bit for bit maps ``math`` over the elements instead;
+    ``+ - * /``, ``sqrt`` and comparisons are correctly rounded in both and
+    stay numpy.  ``args`` are further iterables, as for :func:`map`.
+    """
+    return np.fromiter(map(f, x.tolist(), *args), dtype=np.float64, count=x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +355,22 @@ class ContinuousLaw(Distribution):
     """Base class for laws with a density.
 
     Subclasses supply closed-form ``cdf``, ``partial_expectation`` and
-    ``quantile`` and their ``_vec`` forms.
+    ``quantile`` and their ``_vec`` forms, and :meth:`_search_terms` for
+    the threshold optimizer's batch path.
     """
 
     kind = "continuous"
+
+    @abstractmethod
+    def _search_terms(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(t, F(t), G(t))`` at ``t = quantile(u)``, for masses ``u`` in (0, 1).
+
+        Each element equals what :meth:`quantile`, :meth:`cdf` and
+        :meth:`partial_expectation` return for it, bit for bit, so that a
+        search run on arrays picks the thresholds the scalar search picks.
+        The public ``_vec`` forms promise no such thing: they may use
+        numpy's transcendentals.  The caller checks the domain of ``u``.
+        """
 
     def _check_representable(self) -> None:
         """Reject parameters whose moments or quantiles overflow a double.

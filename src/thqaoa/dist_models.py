@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Tuple
 
@@ -37,6 +39,7 @@ from .dist_core import (
     DiscreteLaw,
     DiscreteSpectrum,
     _lazy_import,
+    _math_map,
     _spectrum_from_multiplicities,
 )
 from .errors import DomainError
@@ -62,6 +65,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_MIN_NORMAL = sys.float_info.min
 
 #: Largest binomial trial count: the law holds n + 1 atoms.
 MAX_BINOMIAL_TRIALS = 10**6
@@ -112,6 +116,13 @@ class NormalLaw(ContinuousLaw):
     def quantile_vec(self, p):
         return self.u + self.s * special.ndtri(np.asarray(p, dtype=np.float64))
 
+    def _search_terms(self, u):
+        t = self.quantile_vec(u)
+        z = (t - self.u) / self.s
+        f = special.ndtr(z)
+        phi = _math_map(math.exp, -0.5 * z * z) / _SQRT_2PI
+        return t, f, self.u * f - self.s * phi
+
     # characteristic function (used by the closed-form GM-QAOA expectation)
     def characteristic_function(self, gamma):
         g = np.asarray(gamma, dtype=np.float64)
@@ -152,7 +163,21 @@ class ReflectedGammaLaw(ContinuousLaw):
     def cdf(self, x: float) -> float:
         if x >= 0.0:
             return 1.0
-        return float(special.gammaincc(self.a, -self.b * x))
+        y = -self.b * x
+        if y < _MIN_NORMAL:
+            return self._cdf_underflow(x)
+        return float(special.gammaincc(self.a, y))
+
+    def _cdf_underflow(self, x: float) -> float:
+        """F(x) for x < 0 where y = b*|x| underflows: subnormal or 0.
+
+        A subnormal y has lost bits and 0 has lost all of them, so
+        Q(a, y) = 1 - y**a / Gamma(a + 1), its leading term (the next is
+        smaller by a factor of order y), is taken with y**a in logs of b
+        and |x|, which stay exact.
+        """
+        log_y = math.log(self.b) + math.log(-x)
+        return 1.0 - math.exp(self.a * log_y - float(special.gammaln(self.a + 1.0)))
 
     def partial_expectation(self, x: float) -> float:
         if x >= 0.0:
@@ -166,7 +191,12 @@ class ReflectedGammaLaw(ContinuousLaw):
     # vectorized
     def cdf_vec(self, x):
         x = np.asarray(x, dtype=np.float64)
-        return np.where(x >= 0.0, 1.0, special.gammaincc(self.a, -self.b * np.minimum(x, 0.0)))
+        y = -self.b * np.minimum(x, 0.0)
+        f = np.where(x >= 0.0, 1.0, special.gammaincc(self.a, y))
+        underflow = (x < 0.0) & (y < _MIN_NORMAL)
+        if np.any(underflow):
+            f[underflow] = [self._cdf_underflow(v) for v in x[underflow].tolist()]
+        return f
 
     def partial_expectation_vec(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -175,6 +205,10 @@ class ReflectedGammaLaw(ContinuousLaw):
 
     def quantile_vec(self, p):
         return -special.gammainccinv(self.a, np.asarray(p, dtype=np.float64)) / self.b
+
+    def _search_terms(self, u):
+        t = self.quantile_vec(u)
+        return t, self.cdf_vec(t), self.partial_expectation_vec(t)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +306,21 @@ class ReflectedParetoLaw(ContinuousLaw):
 
     def quantile_vec(self, p):
         return -self.x_m * np.asarray(p, dtype=np.float64) ** (-1.0 / self.alpha)
+
+    def _search_terms(self, u):
+        # math.pow is the libm pow that the scalar methods' ``**`` calls
+        t = -self.x_m * _math_map(math.pow, u, repeat(-1.0 / self.alpha))
+        f = np.ones_like(t)
+        g = np.full_like(t, self.mean)
+        inside = ~(t >= -self.x_m)
+        y = -t[inside]
+        f[inside] = _math_map(math.pow, self.x_m / y, repeat(self.alpha))
+        g[inside] = (
+            -(self.alpha / (self.alpha - 1.0))
+            * self.x_m**self.alpha
+            * _math_map(math.pow, y, repeat(-(self.alpha - 1.0)))
+        )
+        return t, f, g
 
 
 # ---------------------------------------------------------------------------

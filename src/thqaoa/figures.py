@@ -138,8 +138,8 @@ def fig1_rows() -> Tuple[Header, List[Row]]:
 def fig2_rows() -> Tuple[Header, List[Row]]:
     dist = make_normal(0.0, 1.0)
     rows: List[Row] = []
-    for r in _log_round_grid(10**6):
-        report = gmth.optimize_threshold(dist, r)
+    grid = _log_round_grid(10**6)
+    for r, report in zip(grid, gmth.optimize_thresholds(dist, grid)):
         e_crs = baselines.crs_blom(0.0, 1.0, r)
         rows.append(
             (
@@ -194,8 +194,7 @@ def fig4_rows(fit_limit: int = 10**5) -> Tuple[Header, List[Row]]:
     for k in _FIG4_GAMMA_K:
         dist = make_reflected_gamma(k / 2.0, 0.5)
         label = f"gamma_k{k:g}"
-        for r in grid:
-            report = gmth.optimize_threshold(dist, r)
+        for r, report in zip(grid, gmth.optimize_thresholds(dist, grid)):
             rows.append((label, r, report.quantile, None, None))
     if int(fit_limit) != fit_limit or fit_limit < 2:
         raise DomainError(f"fit limit must be an integer of at least 2, got {fit_limit!r}")
@@ -205,16 +204,11 @@ def fig4_rows(fit_limit: int = 10**5) -> Tuple[Header, List[Row]]:
         label = f"pareto_j{j:g}"
         # Exponents fit every integer round up to the limit on the
         # linear scale; the displayed series stays log-spaced (grid
-        # points beyond the fit range are evaluated individually).
-        all_r = np.arange(1, fit_limit + 1, dtype=np.int64)
-        scores = np.array([gmth.optimize_threshold(dist, int(r)).C_r for r in all_r])
-        _, exponent = fit_power_law(all_r, scores)
-        score_at = {
-            r: float(scores[r - 1])
-            if r <= fit_limit
-            else gmth.optimize_threshold(dist, r).C_r
-            for r in grid
-        }
+        # points beyond the fit range are optimized after it).
+        all_r = list(range(1, fit_limit + 1)) + [r for r in grid if r > fit_limit]
+        scores = [report.C_r for report in gmth.optimize_thresholds(dist, all_r)]
+        _, exponent = fit_power_law(all_r[:fit_limit], scores[:fit_limit])
+        score_at = dict(zip(all_r, scores))
         c_max = score_at[grid[-1]]
         for r in grid:
             rows.append((label, r, None, score_at[r] / c_max, exponent))
@@ -225,9 +219,10 @@ def fig5_rows() -> Tuple[Header, List[Row]]:
     binom = make_binomial(200, 0.5)
     normal = make_normal(binom.mean, binom.std)
     rows: List[Row] = []
-    for r in range(1, 101):
-        rb = gmth.optimize_threshold(binom, r)
-        rn = gmth.optimize_threshold(normal, r)
+    rounds = range(1, 101)
+    for r, rb, rn in zip(
+        rounds, gmth.optimize_thresholds(binom, rounds), gmth.optimize_thresholds(normal, rounds)
+    ):
         rows.append(
             (
                 r,

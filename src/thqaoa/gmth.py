@@ -20,17 +20,32 @@ checked, ``threshold_ratio(r)`` computed and the law's queries bound a
 single time, and ``P(rho, r)`` is inlined with the kernel's own libm
 calls.  The threshold optimizer's ~70 evaluations per call and the
 public :func:`expectation_at_threshold` share that one formula.
+
+Sweeps over many round counts go through :func:`optimize_thresholds`.
+On a continuous law it runs the golden-section searches of all rounds
+at once: every search spans the same log-mass width, so all take the
+same ~65 steps (give or take one; a search that finishes early drops
+out), and each step makes one batched law query
+(``ContinuousLaw._search_terms``) for all rounds.  Its reports equal
+:func:`optimize_threshold`'s bit for bit.  That holds because only
+correctly rounded operations run as numpy array code -- ``+ - * /``,
+``sqrt``, comparisons, ``where`` and scipy.special's ufuncs, whose
+loops are the same for arrays and scalars -- while every ``exp``,
+``log``, ``asin``, ``sin`` and ``pow`` of the scalar path is
+:mod:`math`'s libm call mapped over the elements.  numpy's own versions
+of those functions differ from libm in the last bit on a few percent of
+doubles, which moves some optimal thresholds by a few 1e-8 relative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dist_core import DiscreteLaw, Distribution
+from .dist_core import ContinuousLaw, DiscreteLaw, Distribution, _math_map
 from .errors import DomainError
 from .grover_kernel import (
     _check_rounds,
@@ -46,6 +61,7 @@ __all__ = [
     "threshold_report",
     "threshold_curve",
     "optimize_threshold",
+    "optimize_thresholds",
     "certainty_threshold_cap",
     "min_rounds_exact_opt",
 ]
@@ -316,6 +332,89 @@ def _optimize_continuous(dist: Distribution, r: int) -> float:
     return quantile(best_u)
 
 
+def _expectations_on_masses(
+    law: ContinuousLaw, u: np.ndarray, rho_th: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """E_r(quantile(u)) elementwise, each round with its own ``rho_th`` and ``k``.
+
+    The branches and operations of :func:`_threshold_objective`, on
+    arrays: the law's queries come from ``_search_terms`` and ``asin`` and
+    ``sin`` from :mod:`math`, so every element equals the scalar value bit
+    for bit.
+    """
+    in_domain = (u > 0.0) & (u < 1.0)
+    if not in_domain.all():
+        law._check_quantile_domain(float(u[~in_domain][0]))
+    _, rho, g = law._search_terms(u)
+    mu = law.mean
+    live = ~((rho <= 0.0) | (rho >= 1.0))
+    g_y = g - mu * rho
+    e = np.where(live, mu + g_y / rho, mu)  # the boosted value wherever rho >= rho_th
+    general = live & ~(rho >= rho_th)
+    rg = rho[general]
+    if np.any(rg != rg):  # nan passes both tests above; the kernel rejects it
+        raise DomainError(f"amplification requires 0 < rho <= 1, got {float(rg[rg != rg][0])!r}")
+    s = _math_map(math.sin, k[general] * _math_map(math.asin, np.sqrt(rg)))
+    e[general] = mu + g_y[general] * (s * s / rg - 1.0) / (1.0 - rg)
+    return e
+
+
+def _golden_section_argmin_batch(
+    value_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_golden_section_argmin` on arrays of brackets, in lockstep.
+
+    ``value_at(x, idx)`` evaluates the objectives of searches ``idx`` at
+    ``x``.  Every search takes the scalar search's steps -- the same
+    comparisons, ties and points -- and drops out once its bracket is at
+    most ``tol`` wide; brackets of equal width finish together.
+    """
+    a, b = a.copy(), b.copy()
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    every = np.arange(a.size)
+    fc, fd = value_at(c, every), value_at(d, every)
+    live = every[(b - a) > tol]
+    while live.size:
+        la, lb, lc, ld, lfc, lfd = a[live], b[live], c[live], d[live], fc[live], fd[live]
+        left = lfc <= lfd  # the scalar search's `if fc <= fd` branch
+        na = np.where(left, la, lc)
+        nb = np.where(left, ld, lb)
+        x = np.where(left, nb - _INV_GOLDEN * (nb - na), na + _INV_GOLDEN * (nb - na))
+        fx = value_at(x, live)
+        a[live], b[live] = na, nb
+        c[live] = np.where(left, x, ld)
+        d[live] = np.where(left, lc, x)
+        fc[live] = np.where(left, fx, lfd)
+        fd[live] = np.where(left, lfc, fx)
+        live = live[(nb - na) > tol]
+    take_c = fc <= fd
+    return np.where(take_c, c, d), np.where(take_c, fc, fd)
+
+
+def _optimize_continuous_batch(law: ContinuousLaw, rounds: List[int]) -> List[float]:
+    """:func:`_optimize_continuous` for every round in ``rounds`` at once."""
+    rho_th = np.array([threshold_ratio(r) for r in rounds], dtype=np.float64)
+    k = np.array([2.0 * r + 1.0 for r in rounds], dtype=np.float64)
+    hi = _math_map(math.log, rho_th)
+    lo = hi + math.log(CONTINUOUS_SEARCH_SPAN)
+
+    def value_at(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return _expectations_on_masses(law, _math_map(math.exp, v), rho_th[idx], k[idx])
+
+    with np.errstate(all="ignore"):  # Python floats give inf and nan without a warning
+        v_best, best_e = _golden_section_argmin_batch(value_at, lo, hi, CONTINUOUS_SEARCH_TOLERANCE)
+        best_u = _math_map(math.exp, v_best)
+        for u in (rho_th, _math_map(math.exp, lo)):
+            e = _expectations_on_masses(law, u, rho_th, k)
+            better = e < best_e
+            best_u, best_e = np.where(better, u, best_u), np.where(better, e, best_e)
+    return [law.quantile(u) for u in best_u.tolist()]
+
+
 def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
     """Globally minimize E_r(t) over thresholds and report the optimum.
 
@@ -325,6 +424,11 @@ def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
     mass, over an objective built once for this r (see the module
     docstring).  The optimal threshold never exceeds the cap returned by
     :func:`certainty_threshold_cap`.
+
+    This is the reference path: :func:`optimize_thresholds` runs the
+    same searches for many r at once on numpy arrays, with libm's
+    transcendentals, and returns these reports bit for bit.  For one r
+    this scalar search is the cheaper of the two.
     """
     r = _check_rounds(r)
     if isinstance(dist, DiscreteLaw):
@@ -332,6 +436,22 @@ def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
     else:
         t_opt = _optimize_continuous(dist, r)
     return threshold_report(dist, r, t_opt)
+
+
+def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[ThresholdReport]:
+    """:func:`optimize_threshold` for each round count in ``rounds``, in order.
+
+    On a continuous law the golden-section searches of all rounds run at
+    once, as numpy arrays stepped in lockstep (see the module docstring);
+    every report equals ``optimize_threshold(dist, r)`` bit for bit.  A
+    discrete law's scan is already vectorized over its candidates, so it
+    runs once per round.
+    """
+    rounds = [_check_rounds(r) for r in rounds]
+    if isinstance(dist, DiscreteLaw):
+        return [optimize_threshold(dist, r) for r in rounds]
+    t_opts = _optimize_continuous_batch(dist, rounds)
+    return [threshold_report(dist, r, t) for r, t in zip(rounds, t_opts)]
 
 
 def certainty_threshold_cap(dist: Distribution, r: int) -> tuple:

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -564,6 +564,16 @@ def _is_valid_grid(value):
     return value == "support" or isinstance(value, int)
 
 
+class _Drawn:
+    """Stands in for ``st.data()`` in an explicit example: every draw is ``spec``."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def draw(self, strategy, label=None):
+        return self.spec
+
+
 @pytest.mark.parametrize(
     "parse, specs, is_valid",
     [
@@ -575,6 +585,8 @@ def _is_valid_grid(value):
     ids=["dist", "rounds", "rho", "grid"],
 )
 @given(data=st.data())
+# np.linspace's last point, 672 * (span / 672), rounds past the largest double
+@example(data=_Drawn("linspace:0.0,1.7976931348623157e+308,673"))
 @settings(max_examples=300, deadline=None)
 def test_spec_parsers_accept_or_reject_cleanly(parse, specs, is_valid, data):
     spec = data.draw(specs, label="spec")

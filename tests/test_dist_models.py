@@ -83,6 +83,19 @@ def test_reflected_gamma_is_reflected_scipy_gamma():
         assert law.cdf(x) == pytest.approx(g.sf(-x), abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [-5e-324, -1e-315, -2e-308])
+def test_reflected_gamma_cdf_where_rate_times_x_underflows(x):
+    # b*|x| is 0 or subnormal; F(x) = Q(a, b|x|) is still far from 1 at shape 0.005
+    import mpmath
+
+    law = make_reflected_gamma(0.005, 0.5)
+    with mpmath.workprec(200):
+        y = mpmath.mpf(law.b) * mpmath.mpf(-x)
+        exact = float(1 - mpmath.gammainc(mpmath.mpf(law.a), 0, y, regularized=True))
+    assert law.cdf(x) == pytest.approx(exact, rel=1e-15, abs=0.0)
+    assert law.cdf_vec(np.array([x, -1.0]))[0].hex() == law.cdf(x).hex()
+
+
 # ---------------------------------------------------------------------------
 # Binomial
 # ---------------------------------------------------------------------------

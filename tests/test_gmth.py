@@ -1,5 +1,6 @@
 """Thresholded schedules: closed-form expectation, curves, optimizer, caps."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from thqaoa import cli, gmqaoa
+from thqaoa import cli, figures, gmqaoa
 from thqaoa.bounds import c_th
 from thqaoa.dist_models import (
     ReflectedParetoLaw,
+    make_binomial,
     make_empirical,
     make_normal,
     make_reflected_gamma,
@@ -26,6 +28,7 @@ from thqaoa.gmth import (
     expectation_at_threshold,
     min_rounds_exact_opt,
     optimize_threshold,
+    optimize_thresholds,
     threshold_curve,
     threshold_report,
 )
@@ -295,6 +298,64 @@ def test_optimum_score_grows_with_rounds():
     assert all(b > a for a, b in zip(scores, scores[1:]))
 
 
+def _report_bits(report):
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
+
+
+_FIG2_GRID = figures._log_round_grid(10**6)
+_FIG4_GRID = figures._log_round_grid(10**5)
+_ROUND_SETS = st.one_of(
+    st.lists(st.integers(1, 1000), min_size=1, max_size=12),
+    st.lists(st.integers(1, 10**8), min_size=1, max_size=6),
+    # duplicates, in and out of order
+    st.lists(st.integers(1, 30), min_size=1, max_size=6).map(lambda rs: rs + rs[::-1]),
+    st.sampled_from([_FIG2_GRID, _FIG4_GRID]),
+)
+
+
+@given(law=_CONTINUOUS_LAWS, rounds=_ROUND_SETS)
+@example(law=make_normal(0.0, 1.0), rounds=_FIG2_GRID)
+@example(law=make_reflected_gamma(0.005, 0.5), rounds=_FIG4_GRID)
+@example(law=make_reflected_gamma(50.0, 0.5), rounds=_FIG4_GRID)
+@example(law=make_reflected_pareto(18.0, 1.0), rounds=list(range(1, 301)))
+@example(law=make_normal(100.0, 50 ** 0.5), rounds=[1, 10**8, 1, 7])
+@example(law=make_binomial(200, 0.5), rounds=[1, 2, 100, 2])
+@settings(max_examples=80, deadline=None)
+def test_batched_optima_equal_scalar_optima_bit_for_bit(law, rounds):
+    # The lockstep search must take every step of the scalar one, so each
+    # report field is the same double, not merely a close one.
+    batch = optimize_thresholds(law, rounds)
+    assert [_report_bits(rep) for rep in batch] == [
+        _report_bits(optimize_threshold(law, r)) for r in rounds
+    ]
+
+
+def test_batched_optima_check_rounds_and_masses():
+    law = make_normal(0.0, 1.0)
+    assert optimize_thresholds(law, []) == []
+    for rounds in ([3, 0], [2.5], [1, -4]):
+        with pytest.raises(DomainError, match="round count"):
+            optimize_thresholds(law, rounds)
+    # exp of the search's lower end underflows to 0, outside the quantile's domain
+    with pytest.raises(DomainError, match="quantile probability"):
+        optimize_thresholds(law, [10**160])
+
+
+@given(law=_CONTINUOUS_LAWS, exponents=st.lists(st.floats(-320.0, -1e-9), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_search_terms_equal_scalar_queries_bit_for_bit(law, exponents):
+    u = 10.0 ** np.array(exponents)
+    u = u[(u > 0.0) & (u < 1.0)]
+    t, f, g = law._search_terms(u)
+    for ui, ti, fi, gi in zip(u.tolist(), t.tolist(), f.tolist(), g.tolist()):
+        tq = law.quantile(ui)
+        assert (ti.hex(), fi.hex(), gi.hex()) == (
+            tq.hex(),
+            law.cdf(tq).hex(),
+            law.partial_expectation(tq).hex(),
+        ), ui
+
+
 # Golden-section results as float.hex, recorded when the threshold search
 # and c_th each had their own copy of the loop; the shared helper must
 # reproduce them bit for bit.
@@ -330,10 +391,12 @@ def test_golden_section_optima_bit_pinned():
 
 
 # sha256 of the `reproduce` CSV bytes, recorded with numpy 2.4.6 and
-# scipy 1.17.1: fig1 is c_th per round, fig5 the binomial and normal
+# scipy 1.17.1: fig1 is c_th per round, fig2 the standard-normal threshold
+# optima on a quarter-octave grid up to 10^6, fig5 the binomial and normal
 # threshold optima, fig8 the exact K_{50,50} law (counts, masses, cdf).
 _PINNED_REPRODUCE_SHA256 = {
     "fig1": "cb6408bdd28a598c7cc6b8b66f97da129c253afc01fbe0eadd0fd01941974a44",
+    "fig2": "63013586fc2681fb4433ad6c154141856b475e171596ad23f70a3d63db7880a5",
     "fig5": "53acc7469db8b421684e2d3179b91096282f8972f1e263291d8b74aea427188c",
     "fig8": "c32ef603fb0f246a25d93a85a787715acb2771c1d74157da18c2f06726e9b497",
 }
@@ -346,9 +409,10 @@ def test_reproduce_csv_bytes_pinned(target, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _PINNED_REPRODUCE_SHA256[target]
 
 
-# sha256 of exact-spectrum CSV bytes, recorded like the pins above: the
-# K_{300,300} law (181-digit counts) and the amplification-floor report
-# on K_{50,50} over a 4429-round grid.
+# sha256 of CLI CSV bytes, recorded like the pins above: the K_{300,300}
+# law (181-digit counts), the amplification-floor report on K_{50,50} over
+# a 4429-round grid, and two multi-round threshold sweeps -- a Pareto law
+# at r = 1..1000 and fig4's k = 0.01 Gamma law on 60 quarter-octave rounds.
 _PINNED_CLI_SHA256 = {
     "maxcut-n300": (
         ["maxcut", "--n", "300"],
@@ -357,6 +421,14 @@ _PINNED_CLI_SHA256 = {
     "bound-knn50": (
         ["bound", "--dist", "knn:50", "--r", "pow2:100,5000"],
         "2d23abc86572f882ed7c2fe134489f2ccc670d0f6dffeb2d3898eeb847077800",
+    ),
+    "sweep-pareto": (
+        ["sweep", "--dist", "pareto:18,1", "--r", "linspace:1,1000,1000"],
+        "5d8b8649d38a56f8c3bad90c77dcf7a47b00a0f86662ba28950e123586214b1b",
+    ),
+    "sweep-gamma": (
+        ["sweep", "--dist", "gamma:0.005,0.5", "--r", "pow2:4,64"],
+        "0b536c835840bd1cee741e1322201622cfc9f0f9fcb74d3fa6c45d87a5ae7130",
     ),
 }
 
