@@ -503,15 +503,7 @@ def _cmd_maxcut(cfg: ExperimentConfig):
             n_values = [cfg["n"]]
         else:
             raise ConfigError("minimum-round search needs --n or --n-range")
-        rows = []
-        for n in n_values:
-            try:
-                r: Optional[int] = maxcut.min_rounds_for_ratio(n, lam, bound_kind)
-            except DomainError as exc:
-                if "not reached within" not in str(exc):
-                    raise
-                r = None
-            rows.append((n, lam, bound_kind, r))
+        rows = [(n, lam, bound_kind, maxcut._rounds_for_ratio(n, lam, bound_kind)) for n in n_values]
         return ("n", "lam", "bound_kind", "r"), rows
     if cfg["n_range"] is not None:
         raise ConfigError("--n-range sweeps the --lam round search; spectrum mode takes --n or --graph")

@@ -295,7 +295,6 @@ _FIG9_PANELS = (
 
 
 def fig9_rows(bound_kind: str = "max_amplification") -> Tuple[Header, List[Row]]:
-    maxcut._check_bound_kind(bound_kind)  # only the round search's DomainError means unattainable
     # One exact law per part size serves every panel and ratio at that size.
     panel_rows: List[List[Row]] = [[] for _ in _FIG9_PANELS]
     n_lo = min(panel[2] for panel in _FIG9_PANELS)
@@ -304,11 +303,7 @@ def fig9_rows(bound_kind: str = "max_amplification") -> Tuple[Header, List[Row]]
         law = maxcut.knn_spectrum(n, frame="y")
         for rows, (panel, lam, lo, hi) in zip(panel_rows, _FIG9_PANELS):
             if lo <= n <= hi:
-                try:
-                    r: Optional[int] = maxcut._min_rounds_on_law(law, n, lam, bound_kind)
-                except DomainError:
-                    r = None  # not attainable within the round-search limit
-                rows.append((panel, lam, n, r))
+                rows.append((panel, lam, n, maxcut._min_rounds_on_law(law, n, lam, bound_kind)))
     return ("panel", "lam", "n", "r"), [row for rows in panel_rows for row in rows]
 
 

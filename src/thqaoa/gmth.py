@@ -15,26 +15,23 @@ and the general form otherwise.  Everything else here -- curves, their
 unimodality diagnostics, the threshold optimizer, the optimal-threshold
 cap, and the exact-optimum round count -- is built on that evaluation.
 
-The scalar evaluation is built once per (law, r): the round count is
-checked, ``threshold_ratio(r)`` computed and the law's queries bound a
-single time, and ``P(rho, r)`` is inlined with the kernel's own libm
-calls.  The threshold optimizer's ~70 evaluations per call and the
-public :func:`expectation_at_threshold` share that one formula.
-
-Sweeps over many round counts go through :func:`optimize_thresholds`.
-On a continuous law it runs the golden-section searches of all rounds
-at once: every search spans the same log-mass width, so all take the
-same ~65 steps (give or take one; a search that finishes early drops
-out), and each step makes one batched law query
-(``ContinuousLaw._search_terms``) for all rounds.  Its reports equal
-:func:`optimize_threshold`'s bit for bit.  That holds because only
-correctly rounded operations run as numpy array code -- ``+ - * /``,
-``sqrt``, comparisons, ``where`` and scipy.special's ufuncs, whose
-loops are the same for arrays and scalars -- while every ``exp``,
-``log``, ``asin``, ``sin`` and ``pow`` of the scalar path is
-:mod:`math`'s libm call mapped over the elements.  numpy's own versions
-of those functions differ from libm in the last bit on a few percent of
-doubles, which moves some optimal thresholds by a few 1e-8 relative.
+The closed form has two implementations.  :func:`_threshold_objective`
+is the scalar one, built once per (law, r) with ``P(rho, r)`` inlined
+from the kernel's libm calls; it is the reference and the single-r path
+(:func:`expectation_at_threshold`, :func:`optimize_threshold`'s golden
+section).  :func:`_expectations` evaluates the same branches on arrays
+of law terms ``(F(t), G(t))``, each with its own round count, for every
+array caller: :func:`threshold_curve`, the discrete candidate scan, and
+:func:`optimize_thresholds`, which steps the golden-section searches of
+all rounds of a continuous law in lockstep.  Each element equals the
+scalar value for the same terms bit for bit: only correctly rounded
+operations run as numpy array code (``+ - * /``, ``sqrt``, comparisons,
+``where``), while ``asin`` and ``sin`` are :mod:`math`'s, mapped over
+the elements -- numpy's own differ from libm in the last bit on a few
+percent of doubles.  The law terms equal the scalar queries too: a
+discrete law's prefix tables, or a continuous law's ``_search_terms``.
+So :func:`optimize_thresholds` returns :func:`optimize_threshold`'s
+reports bit for bit.
 """
 
 from __future__ import annotations
@@ -47,12 +44,7 @@ import numpy as np
 
 from .dist_core import ContinuousLaw, DiscreteLaw, Distribution, _math_map
 from .errors import DomainError
-from .grover_kernel import (
-    _check_rounds,
-    grover_probability,
-    grover_probability_vec,
-    threshold_ratio,
-)
+from .grover_kernel import _check_rounds, grover_probability, threshold_ratio
 
 __all__ = [
     "ThresholdReport",
@@ -203,23 +195,30 @@ def threshold_report(dist: Distribution, r: int, t: float) -> ThresholdReport:
     )
 
 
-def _expectations_on_thresholds(dist: Distribution, r: int, ts: np.ndarray) -> tuple:
-    """Vectorized (F(t), E_r(t)) along an array of thresholds."""
-    mu = dist.mean
-    rho = dist.cdf_vec(ts)
-    g_y = dist.partial_expectation_vec(ts) - mu * rho
-    rho_th = threshold_ratio(r)
-    interior = (rho > 0.0) & (rho < 1.0)
-    boosted = interior & (rho >= rho_th)
-    general = interior & (rho < rho_th)
-    e = np.full(ts.shape, mu, dtype=np.float64)
-    if np.any(boosted):
-        e[boosted] = mu + g_y[boosted] / rho[boosted]
-    if np.any(general):
-        rg = rho[general]
-        p = grover_probability_vec(rg, r)
-        e[general] = mu + g_y[general] * (p / rg - 1.0) / (1.0 - rg)
-    return rho, e
+def _expectations(mu: float, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.ndarray:
+    """E_r elementwise from the law terms ``rho = F(t)`` and ``g = G(t)``.
+
+    ``rho_th = threshold_ratio(r)`` and ``k = 2r + 1`` are one value or
+    one per element.  The branches and operations of
+    :func:`_threshold_objective`, on arrays, with ``asin`` and ``sin``
+    from :mod:`math`: every element equals the scalar objective for the
+    same ``(rho, g)`` bit for bit, and a nan marked mass raises as the
+    kernel does.
+    """
+    live = ~((rho <= 0.0) | (rho >= 1.0))
+    general = live & ~(rho >= rho_th)
+    rg = rho[general]
+    if np.any(rg != rg):  # nan passes both tests above; the kernel rejects it
+        raise DomainError(f"amplification requires 0 < rho <= 1, got {float(rg[rg != rg][0])!r}")
+    kg = k[general] if np.ndim(k) else k
+    s = _math_map(math.sin, kg * _math_map(math.asin, np.sqrt(rg)))
+    # Silent, as Python floats overflow to inf and give nan silently; the
+    # division's value is discarded where rho = 0 or the element is general.
+    with np.errstate(all="ignore"):
+        g_y = g - mu * rho
+        e = np.where(live, mu + g_y / rho, mu)  # the boosted value wherever rho >= rho_th
+        e[general] = mu + g_y[general] * (s * s / rg - 1.0) / (1.0 - rg)
+    return e
 
 
 GridSpec = Union[str, int, Sequence[float]]
@@ -235,6 +234,14 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
       log-uniformly in marked mass ``F(t)`` from 1e-14 up to 1 (the last
       point is the all-marked limit, where the expectation is ``mu``);
     * an explicit sequence of thresholds (any law; sorted ascending).
+
+    On support and integer grids every expectation equals
+    :func:`expectation_at_threshold` at its threshold bit for bit, and
+    every ``F`` the law's ``cdf``: the law terms come from the prefix
+    tables or one ``_search_terms`` call, and :func:`_expectations`
+    evaluates them.  An explicit list is queried through the law's
+    ``_vec`` forms, which may differ from the scalar queries in the last
+    bit.
     """
     r = _check_rounds(r)
     if isinstance(grid_spec, str):
@@ -243,21 +250,25 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
         if not isinstance(dist, DiscreteLaw):
             raise DomainError("'support' grids need a discrete law")
         ts = dist.spectrum.values.copy()
+        rho = dist.spectrum.mass_prefix.copy()
+        g = dist.spectrum.gain_prefix
     elif isinstance(grid_spec, (int, np.integer)) and not isinstance(grid_spec, bool):
         n = int(grid_spec)
         if n < 2:
             raise DomainError(f"grid size must be at least 2, got {n}")
         if isinstance(dist, DiscreteLaw):
             raise DomainError("integer F-grids are for continuous laws; use 'support'")
-        u = np.geomspace(1e-14, 1.0, n)
-        ts = np.empty(n, dtype=np.float64)
-        for i, ui in enumerate(u):
-            ts[i] = math.inf if ui >= 1.0 - 1e-15 else dist.quantile(float(ui))
+        # The last point, u = 1, is the all-marked limit t = inf.
+        ts, rho, g = dist._search_terms(np.geomspace(1e-14, 1.0, n)[:-1])
+        ts = np.append(ts, math.inf)
+        rho = np.append(rho, dist.cdf(math.inf))
+        g = np.append(g, dist.partial_expectation(math.inf))
     else:
         ts = np.sort(np.asarray(list(grid_spec), dtype=np.float64))
         if ts.size == 0:
             raise DomainError("threshold grid must not be empty")
-    rho, e = _expectations_on_thresholds(dist, r, ts)
+        rho, g = dist.cdf_vec(ts), dist.partial_expectation_vec(ts)
+    e = _expectations(dist.mean, rho, g, threshold_ratio(r), 2.0 * r + 1.0)
     scores = (dist.mean - e) / dist.std
     return ThresholdCurve(r=r, thresholds=ts, f_values=rho, expectations=e, scores=scores)
 
@@ -286,21 +297,28 @@ def _golden_section_argmin(
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _optimize_discrete(law: DiscreteLaw, r: int) -> float:
-    """Optimal threshold over a discrete support.
+def _optimize_discrete(law: DiscreteLaw, r: int) -> Tuple[float, float]:
+    """Optimal threshold over a discrete support, and its expectation.
 
     The expectation beyond the certainty region is the plain conditional
     mean E[X|X<=t], which is non-decreasing in t, so the candidate set
     is every support value with F <= threshold_ratio(r) plus the first
-    one beyond.  Ties go to the smallest threshold.
+    one beyond.  Ties go to the smallest threshold.  The expectation is
+    the scalar objective's at that threshold, bit for bit.
     """
-    values = law.spectrum.values
-    f = law.spectrum.mass_prefix
-    k = int(np.searchsorted(f, threshold_ratio(r), side="right"))
-    n_candidates = min(k + 1, values.size)
-    ts = values[:n_candidates]
-    _, e = _expectations_on_thresholds(law, r, ts)
-    return float(ts[int(np.argmin(e))])
+    spectrum = law.spectrum
+    rho_th = threshold_ratio(r)
+    k = int(np.searchsorted(spectrum.mass_prefix, rho_th, side="right"))
+    n_candidates = min(k + 1, spectrum.values.size)
+    e = _expectations(
+        law.mean,
+        spectrum.mass_prefix[:n_candidates],
+        spectrum.gain_prefix[:n_candidates],
+        rho_th,
+        2.0 * r + 1.0,
+    )
+    best = int(np.argmin(e))
+    return float(spectrum.values[best]), float(e[best])
 
 
 def _optimize_continuous(dist: Distribution, r: int) -> float:
@@ -335,28 +353,13 @@ def _optimize_continuous(dist: Distribution, r: int) -> float:
 def _expectations_on_masses(
     law: ContinuousLaw, u: np.ndarray, rho_th: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
-    """E_r(quantile(u)) elementwise, each round with its own ``rho_th`` and ``k``.
-
-    The branches and operations of :func:`_threshold_objective`, on
-    arrays: the law's queries come from ``_search_terms`` and ``asin`` and
-    ``sin`` from :mod:`math`, so every element equals the scalar value bit
-    for bit.
-    """
+    """E_r(quantile(u)) elementwise, each round with its own ``rho_th`` and ``k``,
+    from one ``_search_terms`` query of the law."""
     in_domain = (u > 0.0) & (u < 1.0)
     if not in_domain.all():
         law._check_quantile_domain(float(u[~in_domain][0]))
     _, rho, g = law._search_terms(u)
-    mu = law.mean
-    live = ~((rho <= 0.0) | (rho >= 1.0))
-    g_y = g - mu * rho
-    e = np.where(live, mu + g_y / rho, mu)  # the boosted value wherever rho >= rho_th
-    general = live & ~(rho >= rho_th)
-    rg = rho[general]
-    if np.any(rg != rg):  # nan passes both tests above; the kernel rejects it
-        raise DomainError(f"amplification requires 0 < rho <= 1, got {float(rg[rg != rg][0])!r}")
-    s = _math_map(math.sin, k[general] * _math_map(math.asin, np.sqrt(rg)))
-    e[general] = mu + g_y[general] * (s * s / rg - 1.0) / (1.0 - rg)
-    return e
+    return _expectations(law.mean, rho, g, rho_th, k)
 
 
 def _golden_section_argmin_batch(
@@ -432,7 +435,7 @@ def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
     """
     r = _check_rounds(r)
     if isinstance(dist, DiscreteLaw):
-        t_opt = _optimize_discrete(dist, r)
+        t_opt, _ = _optimize_discrete(dist, r)
     else:
         t_opt = _optimize_continuous(dist, r)
     return threshold_report(dist, r, t_opt)
@@ -482,28 +485,27 @@ def min_rounds_exact_opt(dist: Distribution) -> int:
     f = dist.min_mass()
     if f >= 1.0:
         return 0
-    estimate = max(1, math.ceil((math.pi / math.asin(math.sqrt(f)) - 2.0) / 4.0))
-    # The float estimate can be off by ~1e-16 relative, which at tiny f
-    # is a large absolute count; bracket geometrically around it and
-    # bisect on the defining predicate.
-    if f >= threshold_ratio(estimate):
-        hi = estimate
-        lo = max(1, hi // 2)
-        while lo > 1 and f >= threshold_ratio(lo):
-            hi = lo
-            lo = max(1, lo // 2)
-        if f >= threshold_ratio(lo):
-            return lo
-    else:
-        lo = estimate
-        hi = 2 * estimate
-        while f < threshold_ratio(hi):
-            lo = hi
-            hi *= 2
-    # Invariant: threshold_ratio(lo) > f >= threshold_ratio(hi).
+    # threshold_ratio(r) underflows to 0 by r ~ 2**540, so every f > 0 is reached.
+    return _first_round(lambda r: f >= threshold_ratio(r), math.inf)
+
+
+def _first_round(reached: Callable[[int], bool], limit: float) -> Optional[int]:
+    """Smallest ``r >= 1`` with ``reached(r)``, or None if ``reached(limit)`` is false.
+
+    ``reached`` must be false below some round count and true from it
+    on.  It is tried at r = 1, 2, 4, ... (capped at ``limit``) until it
+    holds, then bisected between the last two round counts tried.  Each
+    doubling step calls it with a round count larger than any before.
+    """
+    r = 1
+    while not reached(r):
+        if r >= limit:
+            return None
+        r = min(2 * r, limit)
+    lo, hi = r // 2, r  # not reached(lo) unless lo = 0; reached(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if f >= threshold_ratio(mid):
+        if reached(mid):
             hi = mid
         else:
             lo = mid

@@ -101,7 +101,14 @@ def grover_probability(rho: float, r: int) -> float:
 
 
 def grover_probability_vec(rho: np.ndarray, r: int) -> np.ndarray:
-    """Vectorized :func:`grover_probability` over an array of ratios."""
+    """Vectorized :func:`grover_probability` over an array of ratios.
+
+    No code in the package calls it: numpy's ``arcsin`` and ``sin`` differ
+    from the scalar kernel's libm calls in the last bit, so array code that
+    must match the kernel maps :mod:`math` over the elements instead
+    (``gmth._expectations``).  It stays because ``perfbench/tracer.py``
+    wraps it by name.
+    """
     r = _check_rounds(r)
     rho = np.asarray(rho, dtype=np.float64)
     thr = _threshold_ratio_any(r)

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .bounds import _floor_terms
 from .dist_models import EmpiricalLaw
 from .errors import DomainError, NumericalError
-from .gmth import _optimize_discrete, _threshold_objective, min_rounds_exact_opt
+from .gmth import _first_round, _optimize_discrete, min_rounds_exact_opt
 
 __all__ = [
     "BipartiteSpectrum",
@@ -56,7 +56,7 @@ MAX_BRUTE_FORCE_VERTICES = 24
 MAX_PART_SIZE = 300
 
 #: Round searches give up beyond this many rounds and report the target
-#: ratio as unattainable.
+#: ratio as unattainable (an empty ``r`` cell in the CSVs).
 ROUND_SEARCH_LIMIT = 2**63
 
 _FRAMES = ("y", "x")
@@ -271,26 +271,22 @@ def _achieved_ratio(law_y: EmpiricalLaw, n: int, r: int, bound_kind: str) -> flo
 
     ``lam = E_x / R_min_x`` with ``E_x = E_y - n^2/2`` and
     ``R_min_x = -n^2``, i.e. ``lam = 1/2 - E_y / n^2``.  The ``"gmth"``
-    expectation is the optimized threshold's ``E_r`` alone: the same
-    objective call that :func:`~thqaoa.gmth.optimize_threshold` makes at
-    its optimum, without the rest of the report.
+    expectation is the optimized threshold's ``E_r`` as the discrete scan
+    found it, equal to :func:`~thqaoa.gmth.optimize_threshold`'s bit for
+    bit, without the rest of the report.
     """
     if bound_kind == "max_amplification":
         _, _, expectation = _floor_terms(law_y, r)
     else:
-        expectation = _threshold_objective(law_y, r)(_optimize_discrete(law_y, r))
+        _, expectation = _optimize_discrete(law_y, r)
     return 0.5 - expectation / float(n * n)
-
-
-def _check_bound_kind(bound_kind: str) -> None:
-    if bound_kind not in _BOUND_KINDS:
-        raise DomainError(f"bound_kind must be one of {_BOUND_KINDS}, got {bound_kind!r}")
 
 
 def _check_target(lam: float, bound_kind: str) -> None:
     if not (0.0 < lam <= 1.0):
         raise DomainError(f"approximation ratio must lie in (0, 1], got {lam!r}")
-    _check_bound_kind(bound_kind)
+    if bound_kind not in _BOUND_KINDS:
+        raise DomainError(f"bound_kind must be one of {_BOUND_KINDS}, got {bound_kind!r}")
 
 
 def _max_amplification_rounds_to_optimum(n: int) -> int:
@@ -326,6 +322,17 @@ def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplificatio
     then binary search.  Ratios not reached within ``2^63`` rounds
     raise ``DomainError``.
     """
+    r = _rounds_for_ratio(n, lam, bound_kind)
+    if r is None:
+        raise DomainError(
+            f"ratio {lam!r} not reached within {ROUND_SEARCH_LIMIT} rounds on K_{{{n},{n}}}"
+        )
+    return r
+
+
+def _rounds_for_ratio(n: int, lam: float, bound_kind: str) -> Optional[int]:
+    """:func:`min_rounds_for_ratio`, with None for a ratio not reached
+    within :data:`ROUND_SEARCH_LIMIT` rounds."""
     n = _check_part_size(n)
     _check_target(lam, bound_kind)
     if lam == 1.0 and bound_kind == "max_amplification":
@@ -333,8 +340,8 @@ def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplificatio
     return _min_rounds_on_law(knn_spectrum(n, frame="y"), n, lam, bound_kind)
 
 
-def _min_rounds_on_law(law_y: EmpiricalLaw, n: int, lam: float, bound_kind: str) -> int:
-    """:func:`min_rounds_for_ratio` on ``law_y = knn_spectrum(n, "y")``
+def _min_rounds_on_law(law_y: EmpiricalLaw, n: int, lam: float, bound_kind: str) -> Optional[int]:
+    """:func:`_rounds_for_ratio` on ``law_y = knn_spectrum(n, "y")``
     built by the caller, so that one law serves several targets."""
     _check_target(lam, bound_kind)
     if lam == 1.0:
@@ -342,29 +349,17 @@ def _min_rounds_on_law(law_y: EmpiricalLaw, n: int, lam: float, bound_kind: str)
             return max(1, min_rounds_exact_opt(law_y))
         return _max_amplification_rounds_to_optimum(n)
 
-    previous = -math.inf
-    r = 1
-    while True:
+    largest, previous = 0, -math.inf  # the largest r tried so far, and its ratio
+
+    def reached(r: int) -> bool:
+        nonlocal largest, previous
         achieved = _achieved_ratio(law_y, n, r, bound_kind)
-        if achieved < previous - 1e-12:
-            raise NumericalError(
-                f"achieved ratio decreased from {previous!r} to {achieved!r} at r={r}"
-            )
-        previous = achieved
-        if achieved >= lam:
-            break
-        if r >= ROUND_SEARCH_LIMIT:
-            raise DomainError(
-                f"ratio {lam!r} not reached within {ROUND_SEARCH_LIMIT} rounds on K_{{{n},{n}}}"
-            )
-        r = min(2 * r, ROUND_SEARCH_LIMIT)
-    if r == 1:
-        return 1
-    lo, hi = r // 2, r  # ratio(lo) < lam <= ratio(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _achieved_ratio(law_y, n, mid, bound_kind) >= lam:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        if r > largest:  # a doubling step
+            if achieved < previous - 1e-12:
+                raise NumericalError(
+                    f"achieved ratio decreased from {previous!r} to {achieved!r} at r={r}"
+                )
+            largest, previous = r, achieved
+        return achieved >= lam
+
+    return _first_round(reached, ROUND_SEARCH_LIMIT)

@@ -451,6 +451,15 @@ def test_empirical_law_whose_variance_overflows_runs(capsys, tmp_path, magnitude
     assert float(report["c_r"]) == 1.0  # one round marks the lower atom with certainty
 
 
+@pytest.mark.parametrize("kind", ["max_amplification", "gmth"])
+def test_maxcut_unattainable_ratio_is_an_empty_cell(capsys, kind):
+    code, out, err = run_cli(
+        capsys, "maxcut", "--n", "100", "--lam", "0.9411764705882353", "--bound-kind", kind
+    )
+    assert code == 0, err
+    assert parse_csv(out)[1] == [["100", "0.9411764705882353", kind, ""]]
+
+
 def test_maxcut_graph_with_lam_rejected(capsys, tmp_path):
     # the round search covers K_{n,n} only; a graph must not be ignored
     graph = tmp_path / "tri.txt"

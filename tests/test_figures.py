@@ -181,7 +181,7 @@ def test_fig8_exact_bipartite_spectrum():
 
 
 def test_fig9_rejects_unknown_bound_kind():
-    # checked before the round searches, whose DomainError means "unattainable"
+    # the first round search rejects it; an unattainable ratio is an empty cell, not an error
     with pytest.raises(DomainError, match="bound_kind"):
         figures.fig9_rows("magic")
 

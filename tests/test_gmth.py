@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from thqaoa.dist_models import (
 from thqaoa.errors import DomainError
 from thqaoa.gmth import (
     ThresholdCurve,
+    _expectations,
     _threshold_objective,
     certainty_threshold_cap,
     expectation_at_threshold,
@@ -38,6 +40,7 @@ from thqaoa.grover_kernel import (
     optimal_binary_angles,
     threshold_ratio,
 )
+from thqaoa.maxcut import knn_spectrum
 
 
 def random_discrete_law(rng, max_atoms=12):
@@ -148,6 +151,38 @@ def test_expectation_rejects_nan_marked_mass():
         expectation_at_threshold(make_normal(0.0, 1.0), 1, math.nan)
 
 
+@st.composite
+def _law_terms(draw):
+    """One (r, rho, G) triple, rho drawn in a chosen branch of the closed form."""
+    r = draw(st.one_of(st.integers(1, 1000), st.integers(1, 10**8)))
+    rho_th = threshold_ratio(r)
+    branch = draw(st.sampled_from(["none", "all", "boosted", "general"]))
+    frac = draw(st.floats(0.0, 1.0))
+    if branch == "none":
+        rho = 0.0
+    elif branch == "all":
+        rho = 1.0
+    elif branch == "boosted":  # rho_th <= rho < 1
+        rho = min(rho_th + frac * (1.0 - rho_th), 1.0 - 2.0**-53)
+    else:  # 0 < rho < rho_th
+        rho = rho_th * 10.0 ** (-300.0 * frac - 1e-3)
+    return r, rho, draw(st.floats(-1e6, 1e6))
+
+
+@given(mu=st.floats(-1e6, 1e6), terms=st.lists(_law_terms(), min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_array_expectations_equal_scalar_objective_bit_for_bit(mu, terms):
+    # Each element takes its own round count; a stand-in law hands the
+    # scalar objective the same (rho, G) at any threshold.
+    rounds, rho, g = (list(column) for column in zip(*terms))
+    rho_th = np.array([threshold_ratio(r) for r in rounds])
+    k = np.array([2.0 * r + 1.0 for r in rounds])
+    e = _expectations(mu, np.array(rho), np.array(g), rho_th, k)
+    for r, rho_i, g_i, e_i in zip(rounds, rho, g, e.tolist()):
+        law = SimpleNamespace(mean=mu, cdf=lambda t: rho_i, partial_expectation=lambda t: g_i)
+        assert e_i.hex() == _threshold_objective(law, r)(0.0).hex(), (r, rho_i, g_i)
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -206,6 +241,36 @@ def test_curve_integer_grid_on_continuous_law():
     assert curve.expectations[-1] == norm.mean
     for t, e in zip(curve.thresholds[:-1], curve.expectations[:-1]):
         assert e == pytest.approx(expectation_at_threshold(norm, 2, float(t)), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law, grid",
+    [
+        (make_binomial(200, 0.5), "support"),
+        (knn_spectrum(12), "support"),
+        (make_normal(0.0, 1.0), 2000),
+        (make_reflected_gamma(0.5, 0.5), 2000),
+        (make_reflected_pareto(18.0, 1.0), 2000),
+    ],
+    ids=["binomial", "knn12", "normal", "gamma", "pareto"],
+)
+def test_curve_points_equal_scalar_expectation_bit_for_bit(law, grid):
+    for r in (1, 3, 100, 10**6):
+        curve = threshold_curve(law, r, grid)
+        points = zip(curve.thresholds.tolist(), curve.f_values.tolist(), curve.expectations.tolist())
+        for t, f, e in points:
+            scalar = (law.cdf(t), expectation_at_threshold(law, r, t))
+            assert (f.hex(), e.hex()) == (scalar[0].hex(), scalar[1].hex()), (r, t)
+
+
+def test_curve_nan_threshold_behaves_as_the_scalar_query():
+    # a continuous law's cdf(nan) is nan, which the kernel rejects; a
+    # discrete law's scalar and array lookups both put nan past the support
+    with pytest.raises(DomainError):
+        threshold_curve(make_normal(0.0, 1.0), 1, [0.0, math.nan])
+    law = make_binomial(20, 0.5)
+    curve = threshold_curve(law, 1, [5.0, math.nan])
+    assert curve.expectations[-1] == expectation_at_threshold(law, 1, math.nan) == law.mean
 
 
 def test_curve_explicit_grid_sorted():

@@ -262,6 +262,14 @@ def test_gmth_achieved_ratio_is_the_optimized_report_bit_for_bit():
             assert maxcut._achieved_ratio(law, n, r, "gmth").hex() == expected.hex()
 
 
+@pytest.mark.parametrize("kind", ["max_amplification", "gmth"])
+def test_min_rounds_unattainable_ratio_raises(kind):
+    # K_{100,100} stays below 16/17 up to ROUND_SEARCH_LIMIT rounds; the CSVs
+    # write an empty cell there, and only the public search raises
+    with pytest.raises(DomainError, match="not reached within"):
+        min_rounds_for_ratio(100, 16.0 / 17.0, bound_kind=kind)
+
+
 def test_min_rounds_validation():
     with pytest.raises(DomainError):
         min_rounds_for_ratio(5, 0.0)
