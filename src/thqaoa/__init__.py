@@ -14,12 +14,14 @@ form, what a Grover-mixer schedule can achieve on it:
   ``threshold_ratio(r)``, fine-tuned binary schedules, amplification
   ratios.
 * :mod:`thqaoa.gmth` -- threshold schedules: closed-form expectation at
-  any threshold, exact optimization, threshold curves, certainty caps.
+  any threshold, exact optimization, threshold curves, the exact-optimum
+  round count.
 * :mod:`thqaoa.gmqaoa` -- raw-cost schedules: collapsed simulator,
   O(r^2) characteristic-function expectation, angle optimization.
 * :mod:`thqaoa.bounds` -- performance bounds: the per-layer score slope
   ``kappa``, the best-score curve ``c_th``, expectation floors from the
-  amplification cap, round-count lower bounds, quantile envelopes.
+  amplification cap (with the score cap), round-count lower bounds,
+  quantile envelopes.
 * :mod:`thqaoa.maxcut` -- the complete-bipartite Max-Cut application:
   exact spectra with big-integer multiplicities and minimum round
   counts for approximation-ratio targets.
@@ -49,7 +51,6 @@ from .bounds import (
     kappa,
     max_amplification_floor,
     quantile_sandwich,
-    score_cap_min_rounds,
     simulated_amplification,
 )
 from .dist_core import (
@@ -74,24 +75,20 @@ from .dist_models import (
     make_reflected_pareto,
     make_two_point,
     pareto_epsilon_for_exponent,
-    pareto_limit_L,
 )
 from .errors import ConfigError, ConvergenceWarning, DomainError, NumericalError, ThqaoaError
 from .gmqaoa import (
     CollapsedState,
-    characteristic_function,
     expectation_from_state,
     expectation_pair_sum,
     identity_phase,
     optimize_angles,
-    psi_function,
     simulate,
     threshold_phase,
 )
 from .gmth import (
     ThresholdCurve,
     ThresholdReport,
-    certainty_threshold_cap,
     expectation_at_threshold,
     min_rounds_exact_opt,
     optimize_threshold,
@@ -149,7 +146,6 @@ __all__ = [
     "make_empirical",
     "empirical_from_file",
     "pareto_epsilon_for_exponent",
-    "pareto_limit_L",
     # amplification kernel
     "AngleSchedule",
     "threshold_ratio",
@@ -165,7 +161,6 @@ __all__ = [
     "threshold_report",
     "threshold_curve",
     "optimize_threshold",
-    "certainty_threshold_cap",
     "min_rounds_exact_opt",
     # raw-cost schedules
     "CollapsedState",
@@ -173,8 +168,6 @@ __all__ = [
     "threshold_phase",
     "simulate",
     "expectation_from_state",
-    "characteristic_function",
-    "psi_function",
     "expectation_pair_sum",
     "optimize_angles",
     # bounds
@@ -182,7 +175,6 @@ __all__ = [
     "kappa",
     "c_th",
     "max_amplification_floor",
-    "score_cap_min_rounds",
     "grover_based_min_rounds_exact",
     "quantile_sandwich",
     "simulated_amplification",

@@ -10,10 +10,9 @@ Contents:
   by a two-point law.
 * :func:`max_amplification_floor` -- the expectation floor obtained by
   granting every low-cost state the maximal amplification ``(2r+1)^2``.
+  Its report also carries the universal score cap ``2 sqrt(r(r+1))``.
   Its per-r core ``_floor_terms`` serves round searches that need the
   floor alone, without the law-constant round counts of the report.
-* :func:`score_cap_min_rounds` -- the score cap ``2 sqrt(r(r+1))`` and the
-  induced minimum round count to reach a target approximation ratio.
 * :func:`grover_based_min_rounds_exact` -- rounds needed before the
   optimum can even be measured with probability 1.
 * :func:`quantile_sandwich` -- the asymptotic two-sided envelope of the
@@ -43,7 +42,6 @@ __all__ = [
     "kappa",
     "c_th",
     "max_amplification_floor",
-    "score_cap_min_rounds",
     "grover_based_min_rounds_exact",
     "quantile_sandwich",
     "simulated_amplification",
@@ -215,34 +213,6 @@ def _floor_reports(
             )
         )
     return reports
-
-
-def score_cap_min_rounds(dist: Distribution, r: int, lam: float) -> Tuple[float, int]:
-    """Score cap 2*sqrt(r(r+1)) and minimum rounds for ratio ``lam``.
-
-    The round count is the smallest integer satisfying the implicit
-    inequality ``r >= (mu - lam*R_min)/(2*sigma*sqrt(1 + 1/r))``, found
-    by the fixed-point iteration r <- ceil(rhs(r)) from r = 1.  The
-    iterates increase strictly below the least solution and stabilize
-    exactly on it, so the loop terminates in a handful of steps.  A
-    target with ``mu - lam*R_min <= 0`` makes the bound vacuous and
-    returns ``r_min = 1``.
-    """
-    r = _check_rounds(r)
-    r_min_val = dist.r_min
-    if not math.isfinite(r_min_val) or r_min_val == 0.0:
-        raise DomainError("the minimum-round bound needs a finite nonzero support minimum")
-    c_cap = 2.0 * math.sqrt(r * (r + 1.0))
-    k = (dist.mean - lam * r_min_val) / (2.0 * dist.std)
-    if k <= 0.0:
-        return c_cap, 1
-    current = 1
-    for _ in range(64):
-        nxt = max(1, math.ceil(k / math.sqrt(1.0 + 1.0 / current) - 1e-12))
-        if nxt == current:
-            break
-        current = nxt
-    return c_cap, current
 
 
 def grover_based_min_rounds_exact(f_min: float) -> int:

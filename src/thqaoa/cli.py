@@ -77,7 +77,7 @@ from .grover_kernel import (
     threshold_ratio,
 )
 
-__all__ = ["run", "main", "ExperimentConfig"]
+__all__ = ["run", "main"]
 
 #: Most points a generated grid (--r linspace/pow2, --rho geom, --grid N,
 #: --bins) may hold.  Checked before the grid is built.
@@ -92,22 +92,6 @@ def _check_grid_size(points: float, what: str) -> None:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise ConfigError(message)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated, fully merged invocation: subcommand plus options.
-
-    Options are merged from (highest precedence first) command-line
-    flags, the ``--config`` file, and built-in defaults; unknown config
-    keys are rejected before any computation starts.
-    """
-
-    subcommand: str
-    options: Dict[str, Any]
-
-    def __getitem__(self, key: str) -> Any:
-        return self.options[key]
 
 
 # --------------------------------------------------------------------------
@@ -355,12 +339,12 @@ def _report_row(report: gmth.ThresholdReport) -> Tuple[object, ...]:
     )
 
 
-def _cmd_kappa(cfg: ExperimentConfig):
+def _cmd_kappa(cfg: Dict[str, Any]):
     x1, kappa = bounds.kappa()
     return ("x1", "kappa"), [(x1, kappa)]
 
 
-def _cmd_cthr(cfg: ExperimentConfig):
+def _cmd_cthr(cfg: Dict[str, Any]):
     rounds = _parse_rounds(cfg["r"])
     rows = []
     for r in rounds:
@@ -369,7 +353,7 @@ def _cmd_cthr(cfg: ExperimentConfig):
     return ("r", "rho_star", "cth", "cth_over_r"), rows
 
 
-def _cmd_pr(cfg: ExperimentConfig):
+def _cmd_pr(cfg: Dict[str, Any]):
     rounds = _parse_rounds(cfg["r"])
     rhos = _parse_rho(cfg["rho"])
     rows = []
@@ -384,7 +368,7 @@ def _cmd_pr(cfg: ExperimentConfig):
     return ("r", "rho", "rho_th", "p", "p_poly", "eta"), rows
 
 
-def _cmd_threshold(cfg: ExperimentConfig):
+def _cmd_threshold(cfg: Dict[str, Any]):
     dist = _parse_dist(cfg["dist"])
     r = _parse_single_round(cfg["r"])
     if cfg["t"] is None:
@@ -394,7 +378,7 @@ def _cmd_threshold(cfg: ExperimentConfig):
     return _REPORT_HEADER, [_report_row(report)]
 
 
-def _cmd_curve(cfg: ExperimentConfig):
+def _cmd_curve(cfg: Dict[str, Any]):
     dist = _parse_dist(cfg["dist"])
     r = _parse_single_round(cfg["r"])
     grid_spec = cfg["grid"]
@@ -410,14 +394,14 @@ def _cmd_curve(cfg: ExperimentConfig):
     return ("r", "t", "f_t", "e_r", "c_r"), rows
 
 
-def _cmd_sweep(cfg: ExperimentConfig):
+def _cmd_sweep(cfg: Dict[str, Any]):
     dist = _parse_dist(cfg["dist"])
     rounds = _parse_rounds(cfg["r"])
     rows = [_report_row(report) for report in gmth.optimize_thresholds(dist, rounds)]
     return _REPORT_HEADER, rows
 
 
-def _cmd_gmqaoa(cfg: ExperimentConfig):
+def _cmd_gmqaoa(cfg: Dict[str, Any]):
     dist = _parse_dist(cfg["dist"])
     if not isinstance(dist, DiscreteLaw):
         dist = discretize_equal_mass(dist, cfg["bins"])
@@ -433,7 +417,7 @@ def _cmd_gmqaoa(cfg: ExperimentConfig):
     return ("r", "e_opt", "c", "quantile"), rows
 
 
-def _cmd_bound(cfg: ExperimentConfig):
+def _cmd_bound(cfg: Dict[str, Any]):
     dist = _parse_dist(cfg["dist"])
     rounds = _parse_rounds(cfg["r"])
     # One call for all r: the two round counts depend on the law alone.
@@ -474,7 +458,7 @@ def _spectrum_rows(law: EmpiricalLaw) -> List[Tuple[object, ...]]:
     ]
 
 
-def _cmd_maxcut(cfg: ExperimentConfig):
+def _cmd_maxcut(cfg: Dict[str, Any]):
     lam = cfg["lam"]
     frame = cfg["frame"]
     if lam is not None:
@@ -503,7 +487,7 @@ def _cmd_maxcut(cfg: ExperimentConfig):
             n_values = [cfg["n"]]
         else:
             raise ConfigError("minimum-round search needs --n or --n-range")
-        rows = [(n, lam, bound_kind, maxcut._rounds_for_ratio(n, lam, bound_kind)) for n in n_values]
+        rows = [(n, lam, bound_kind, maxcut.min_rounds_for_ratio(n, lam, bound_kind)) for n in n_values]
         return ("n", "lam", "bound_kind", "r"), rows
     if cfg["n_range"] is not None:
         raise ConfigError("--n-range sweeps the --lam round search; spectrum mode takes --n or --graph")
@@ -520,7 +504,7 @@ def _cmd_maxcut(cfg: ExperimentConfig):
     return ("value", "count", "mass", "cdf"), _spectrum_rows(law)
 
 
-def _cmd_crs(cfg: ExperimentConfig):
+def _cmd_crs(cfg: Dict[str, Any]):
     dist = _parse_dist(cfg["dist"])
     rounds = _parse_rounds(cfg["r"])
     method = cfg["method"]
@@ -542,7 +526,7 @@ def _cmd_crs(cfg: ExperimentConfig):
     return ("r", "k", "e_min", "stderr", "method"), rows
 
 
-def _cmd_reproduce(cfg: ExperimentConfig):
+def _cmd_reproduce(cfg: Dict[str, Any]):
     target = cfg["target"]
     generator = figures.FIGURE_GENERATORS.get(target)
     if generator is None:
@@ -721,7 +705,10 @@ def _load_config_file(path: str) -> Dict[str, str]:
     return pairs
 
 
-def _merge_config(ns: argparse.Namespace) -> ExperimentConfig:
+def _merge_config(ns: argparse.Namespace) -> Dict[str, Any]:
+    """The subcommand's options, merged from (highest precedence first)
+    command-line flags, the ``--config`` file and built-in defaults;
+    unknown config keys are rejected before any computation starts."""
     subcommand = ns.subcommand
     table = _COMMANDS[subcommand][1]
     file_pairs: Dict[str, str] = {}
@@ -741,7 +728,7 @@ def _merge_config(ns: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"{subcommand} requires --{opt.name.replace('_', '-')}")
     if subcommand == "reproduce":
         options["target"] = ns.target
-    return ExperimentConfig(subcommand=subcommand, options=options)
+    return options
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -749,8 +736,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = _merge_config(ns)
-        header, rows = _HANDLERS[cfg.subcommand](cfg)
+        header, rows = _HANDLERS[ns.subcommand](_merge_config(ns))
         _write_csv(getattr(ns, "out", None), header, rows)
     except (ConfigError, DomainError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)

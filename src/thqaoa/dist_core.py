@@ -2,8 +2,9 @@
 
 This module defines the probability-law interface consumed by every
 formula in the package: the cumulative distribution function ``F``, the
-partial expectation ``G(x) = E[X * 1{X <= x}]`` and quantiles, each with
-a vectorized ``_vec`` form.
+partial expectation ``G(x) = E[X * 1{X <= x}]`` and quantiles, plus a
+vectorized ``quantile_vec`` for sampling (and, on continuous laws,
+``partial_expectation_vec`` for discretization).
 
 Two families of laws are supported:
 
@@ -25,7 +26,6 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from types import ModuleType
@@ -70,14 +70,16 @@ def _lazy_import(name: str) -> ModuleType:
 
 
 def _math_map(f: Callable[..., float], x: np.ndarray, *args: Iterable[float]) -> np.ndarray:
-    """``f`` from :mod:`math` applied to each element of ``x``, as float64.
+    """Scalar ``f`` applied to each element of ``x``, as float64.
 
     numpy's ``exp``, ``arcsin``, ``sin`` and ``power`` are not the C
     library's: they differ from :mod:`math` in the last bit on a few
     percent of doubles.  Array code that must equal a scalar ``math``
     computation bit for bit maps ``math`` over the elements instead;
     ``+ - * /``, ``sqrt`` and comparisons are correctly rounded in both and
-    stay numpy.  ``args`` are further iterables, as for :func:`map`.
+    stay numpy.  A law's scalar queries are mapped the same way where an
+    array must equal them.  ``args`` are further iterables, as for
+    :func:`map`.
     """
     return np.fromiter(map(f, x.tolist(), *args), dtype=np.float64, count=x.size)
 
@@ -219,10 +221,10 @@ class Distribution(ABC):
     """A probability law over costs.
 
     Concrete laws expose ``mean``, ``std`` (> 0), extended-real support
-    bounds ``r_min``/``r_max``, and the queries ``cdf``,
-    ``partial_expectation`` and ``quantile``, each with a vectorized
-    ``_vec`` form over arrays.  Instances are immutable after
-    construction and safe to share across threads.
+    bounds ``r_min``/``r_max``, the queries ``cdf``,
+    ``partial_expectation`` and ``quantile``, and ``quantile_vec`` over
+    arrays.  Instances are immutable after construction and safe to
+    share across threads.
     """
 
     #: "discrete" or "continuous"
@@ -245,14 +247,6 @@ class Distribution(ABC):
     @abstractmethod
     def quantile(self, p: float) -> float:
         """Inverse cdf for p in (0, 1)."""
-
-    @abstractmethod
-    def cdf_vec(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`cdf` over an array."""
-
-    @abstractmethod
-    def partial_expectation_vec(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`partial_expectation` over an array."""
 
     @abstractmethod
     def quantile_vec(self, p: np.ndarray) -> np.ndarray:
@@ -326,25 +320,6 @@ class DiscreteLaw(Distribution):
 
     # -- vectorized ----------------------------------------------------
 
-    @cached_property
-    def _cdf_table(self) -> np.ndarray:
-        """``mass_prefix`` behind a leading 0, indexed by the count of
-        support values at or below x."""
-        return np.concatenate(([0.0], self.spectrum.mass_prefix))
-
-    @cached_property
-    def _gain_table(self) -> np.ndarray:
-        """``gain_prefix`` behind a leading 0, indexed like ``_cdf_table``."""
-        return np.concatenate(([0.0], self.spectrum.gain_prefix))
-
-    def cdf_vec(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.spectrum.values, np.asarray(x, dtype=np.float64), side="right")
-        return self._cdf_table[idx]
-
-    def partial_expectation_vec(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.spectrum.values, np.asarray(x, dtype=np.float64), side="right")
-        return self._gain_table[idx]
-
     def quantile_vec(self, p: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.spectrum.mass_prefix, np.asarray(p, dtype=np.float64), side="left")
         idx = np.minimum(idx, self.spectrum.values.size - 1)
@@ -355,11 +330,16 @@ class ContinuousLaw(Distribution):
     """Base class for laws with a density.
 
     Subclasses supply closed-form ``cdf``, ``partial_expectation`` and
-    ``quantile`` and their ``_vec`` forms, and :meth:`_search_terms` for
-    the threshold optimizer's batch path.
+    ``quantile``, the array forms ``quantile_vec`` and
+    ``partial_expectation_vec``, and :meth:`_search_terms` for the
+    threshold optimizer's batch path.
     """
 
     kind = "continuous"
+
+    @abstractmethod
+    def partial_expectation_vec(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`partial_expectation` over an array (equal-mass discretization)."""
 
     @abstractmethod
     def _search_terms(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -61,7 +61,6 @@ __all__ = [
     "make_empirical",
     "empirical_from_file",
     "pareto_epsilon_for_exponent",
-    "pareto_limit_L",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -90,9 +89,6 @@ class NormalLaw(ContinuousLaw):
         self.r_max = math.inf
         self._check_representable()
 
-    def _z(self, x):
-        return (np.asarray(x, dtype=np.float64) - self.u) / self.s
-
     def cdf(self, x: float) -> float:
         return float(special.ndtr((x - self.u) / self.s))
 
@@ -106,11 +102,8 @@ class NormalLaw(ContinuousLaw):
         return self.u + self.s * float(special.ndtri(p))
 
     # vectorized
-    def cdf_vec(self, x):
-        return special.ndtr(self._z(x))
-
     def partial_expectation_vec(self, x):
-        z = self._z(x)
+        z = (np.asarray(x, dtype=np.float64) - self.u) / self.s
         return self.u * special.ndtr(z) - self.s * np.exp(-0.5 * z * z) / _SQRT_2PI
 
     def quantile_vec(self, p):
@@ -293,11 +286,6 @@ class ReflectedParetoLaw(ContinuousLaw):
         return -self.x_m * p ** (-1.0 / self.alpha)
 
     # vectorized
-    def cdf_vec(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        inside = np.minimum(x, -self.x_m)
-        return np.where(x >= -self.x_m, 1.0, (self.x_m / -inside) ** self.alpha)
-
     def partial_expectation_vec(self, x):
         x = np.asarray(x, dtype=np.float64)
         inside = np.minimum(x, -self.x_m)
@@ -445,14 +433,3 @@ def pareto_epsilon_for_exponent(j: float) -> float:
         raise DomainError(f"growth exponent j must lie in (0, 1), got {j!r}")
     return 2.0 * (1.0 - j) / j
 
-
-def pareto_limit_L(eps: float) -> float:
-    """The limit constant L = (1 + 1/(1 + eps))**-(2 + eps).
-
-    This is the limit of r**2 times the quantile achieved by the
-    optimized expectation on the reflected Pareto family; it increases
-    from 0.25 (eps -> 0) to 1/e (eps -> inf).
-    """
-    if not (eps > 0.0):
-        raise DomainError(f"pareto tail parameter must be positive, got {eps!r}")
-    return (1.0 + 1.0 / (1.0 + eps)) ** (-(2.0 + eps))

@@ -41,7 +41,6 @@ import numpy as np
 
 from ._backend import evolve
 from .dist_core import DiscreteLaw, Distribution, _lazy_import
-from .dist_models import NormalLaw
 from .errors import ConvergenceWarning, DomainError, NumericalError
 from .grover_kernel import AngleSchedule, _check_rounds
 
@@ -54,8 +53,6 @@ __all__ = [
     "threshold_phase",
     "simulate",
     "expectation_from_state",
-    "characteristic_function",
-    "psi_function",
     "expectation_pair_sum",
     "optimize_angles",
 ]
@@ -153,42 +150,6 @@ def simulate(dist: Distribution, q: PhaseFunction, angles: AngleSchedule) -> Col
 def expectation_from_state(state: CollapsedState) -> float:
     """<psi| H_C |psi> = sum_i x_i |v_i|^2."""
     return float(np.dot(state.classes, state.probabilities()))
-
-
-# ---------------------------------------------------------------------------
-# Characteristic functions
-# ---------------------------------------------------------------------------
-
-
-def characteristic_function(dist: Distribution, gamma: float) -> complex:
-    """phi_X(gamma) = E[exp(i gamma X)]; |phi| <= 1.
-
-    Supported for discrete laws (direct sum) and normal laws (closed
-    form exp(i u gamma - s^2 gamma^2 / 2)); other continuous laws are
-    rejected.
-    """
-    fn = getattr(dist, "characteristic_function", None)
-    if fn is None:
-        raise DomainError(f"characteristic function unavailable for {type(dist).__name__}")
-    return fn(gamma)
-
-
-def psi_function(dist: Distribution, q: PhaseFunction, gamma: float) -> complex:
-    """Psi_X(gamma) = i * E[X * exp(i gamma q(X))]; -i Psi_X(0) = mu.
-
-    For normal laws only the identity compilation is supported, where
-    Psi equals the derivative of the characteristic function.
-    """
-    if isinstance(dist, DiscreteLaw):
-        values = dist.spectrum.values
-        masses = dist.spectrum.masses
-        qa = np.array([float(q(float(x))) for x in values], dtype=np.float64)
-        return 1j * complex(np.sum(values * masses * np.exp(1j * gamma * qa)))
-    if isinstance(dist, NormalLaw):
-        if q is not identity_phase:
-            raise DomainError("normal laws support psi_function only with identity_phase")
-        return dist.characteristic_derivative(gamma)
-    raise DomainError(f"psi function unavailable for {type(dist).__name__}")
 
 
 # ---------------------------------------------------------------------------

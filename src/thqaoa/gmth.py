@@ -12,8 +12,8 @@ which this module evaluates in a cancellation-aware three-branch form:
 ``mu`` when no or all mass is marked, ``mu + G_Y(T)/rho`` when the
 marked mass is boosted to certainty (``rho >= threshold_ratio(r)``),
 and the general form otherwise.  Everything else here -- curves, their
-unimodality diagnostics, the threshold optimizer, the optimal-threshold
-cap, and the exact-optimum round count -- is built on that evaluation.
+unimodality diagnostics, the threshold optimizer and the exact-optimum
+round count -- is built on that evaluation.
 
 The closed form has two implementations.  :func:`_threshold_objective`
 is the scalar one, built once per (law, r) with ``P(rho, r)`` inlined
@@ -29,9 +29,11 @@ operations run as numpy array code (``+ - * /``, ``sqrt``, comparisons,
 ``where``), while ``asin`` and ``sin`` are :mod:`math`'s, mapped over
 the elements -- numpy's own differ from libm in the last bit on a few
 percent of doubles.  The law terms equal the scalar queries too: a
-discrete law's prefix tables, or a continuous law's ``_search_terms``.
-So :func:`optimize_thresholds` returns :func:`optimize_threshold`'s
-reports bit for bit.
+discrete law's prefix tables, a continuous law's ``_search_terms``, or
+the scalar ``cdf`` and ``partial_expectation`` themselves.  So every
+curve point equals :func:`expectation_at_threshold`, and
+:func:`optimize_thresholds` returns :func:`optimize_threshold`'s
+reports, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "threshold_curve",
     "optimize_threshold",
     "optimize_thresholds",
-    "certainty_threshold_cap",
     "min_rounds_exact_opt",
 ]
 
@@ -235,13 +236,12 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
       point is the all-marked limit, where the expectation is ``mu``);
     * an explicit sequence of thresholds (any law; sorted ascending).
 
-    On support and integer grids every expectation equals
-    :func:`expectation_at_threshold` at its threshold bit for bit, and
-    every ``F`` the law's ``cdf``: the law terms come from the prefix
-    tables or one ``_search_terms`` call, and :func:`_expectations`
-    evaluates them.  An explicit list is queried through the law's
-    ``_vec`` forms, which may differ from the scalar queries in the last
-    bit.
+    Every expectation equals :func:`expectation_at_threshold` at its
+    threshold bit for bit, and every ``F`` the law's ``cdf``: the law
+    terms come from the prefix tables, one ``_search_terms`` call, or
+    (for an explicit list) the scalar ``cdf`` and
+    ``partial_expectation`` at each threshold, and :func:`_expectations`
+    evaluates them.
     """
     r = _check_rounds(r)
     if isinstance(grid_spec, str):
@@ -267,7 +267,7 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
         ts = np.sort(np.asarray(list(grid_spec), dtype=np.float64))
         if ts.size == 0:
             raise DomainError("threshold grid must not be empty")
-        rho, g = dist.cdf_vec(ts), dist.partial_expectation_vec(ts)
+        rho, g = _math_map(dist.cdf, ts), _math_map(dist.partial_expectation, ts)
     e = _expectations(dist.mean, rho, g, threshold_ratio(r), 2.0 * r + 1.0)
     scores = (dist.mean - e) / dist.std
     return ThresholdCurve(r=r, thresholds=ts, f_values=rho, expectations=e, scores=scores)
@@ -425,8 +425,9 @@ def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
     values (everything up to the certainty region plus one value
     beyond); continuous laws run a golden-section search on the marked
     mass, over an objective built once for this r (see the module
-    docstring).  The optimal threshold never exceeds the cap returned by
-    :func:`certainty_threshold_cap`.
+    docstring).  The optimal threshold never exceeds the smallest
+    certainty threshold ``quantile(threshold_ratio(r))``, and its
+    expectation never exceeds the conditional mean below it.
 
     This is the reference path: :func:`optimize_thresholds` runs the
     same searches for many r at once on numpy arrays, with libm's
@@ -455,21 +456,6 @@ def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[Thres
         return [optimize_threshold(dist, r) for r in rounds]
     t_opts = _optimize_continuous_batch(dist, rounds)
     return [threshold_report(dist, r, t) for r, t in zip(rounds, t_opts)]
-
-
-def certainty_threshold_cap(dist: Distribution, r: int) -> tuple:
-    """Smallest certainty threshold and its conditional mean.
-
-    ``tau`` is the smallest threshold whose marked mass reaches
-    ``threshold_ratio(r)`` (so the marked mass is boosted to 1); the
-    optimal expectation satisfies E_r(t_opt) <= E[X|X<=tau] <= tau.
-    Returns ``(tau, E[X|X<=tau])``.
-    """
-    r = _check_rounds(r)
-    tau = dist.quantile(threshold_ratio(r))
-    f = dist.cdf(tau)
-    e_cap = dist.partial_expectation(tau) / f
-    return tau, e_cap
 
 
 def min_rounds_exact_opt(dist: Distribution) -> int:

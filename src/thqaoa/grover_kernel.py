@@ -79,7 +79,8 @@ def _threshold_ratio_any(r: int) -> float:
 def threshold_ratio(r: int) -> float:
     """The marked-mass ratio at which r pi-angle rounds reach probability 1.
 
-    Strictly decreasing in r; threshold_ratio(1) = 0.25.
+    Strictly decreasing in r.  threshold_ratio(1) is sin^2(pi/6) = 1/4,
+    computed in doubles as 0.24999999999999994.
     """
     return _threshold_ratio_any(_check_rounds(r))
 

@@ -299,7 +299,7 @@ def _max_amplification_rounds_to_optimum(n: int) -> int:
     return root if root * root == power else root + 1
 
 
-def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplification") -> int:
+def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplification") -> Optional[int]:
     """Smallest round count reaching approximation ratio ``lam`` on K_{n,n}.
 
     The expectation model is selected by ``bound_kind``:
@@ -320,19 +320,8 @@ def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplificatio
     For ``lam < 1`` the achieved ratio is monotone non-decreasing in r
     (verified during bracketing) and the answer is found by doubling
     then binary search.  Ratios not reached within ``2^63`` rounds
-    raise ``DomainError``.
+    give None.
     """
-    r = _rounds_for_ratio(n, lam, bound_kind)
-    if r is None:
-        raise DomainError(
-            f"ratio {lam!r} not reached within {ROUND_SEARCH_LIMIT} rounds on K_{{{n},{n}}}"
-        )
-    return r
-
-
-def _rounds_for_ratio(n: int, lam: float, bound_kind: str) -> Optional[int]:
-    """:func:`min_rounds_for_ratio`, with None for a ratio not reached
-    within :data:`ROUND_SEARCH_LIMIT` rounds."""
     n = _check_part_size(n)
     _check_target(lam, bound_kind)
     if lam == 1.0 and bound_kind == "max_amplification":
@@ -341,7 +330,7 @@ def _rounds_for_ratio(n: int, lam: float, bound_kind: str) -> Optional[int]:
 
 
 def _min_rounds_on_law(law_y: EmpiricalLaw, n: int, lam: float, bound_kind: str) -> Optional[int]:
-    """:func:`_rounds_for_ratio` on ``law_y = knn_spectrum(n, "y")``
+    """:func:`min_rounds_for_ratio` on ``law_y = knn_spectrum(n, "y")``
     built by the caller, so that one law serves several targets."""
     _check_target(lam, bound_kind)
     if lam == 1.0:

@@ -14,7 +14,6 @@ from thqaoa.bounds import (
     kappa,
     max_amplification_floor,
     quantile_sandwich,
-    score_cap_min_rounds,
     simulated_amplification,
 )
 from thqaoa.dist_models import make_empirical, make_normal, make_two_point
@@ -136,58 +135,6 @@ def test_floor_report_fields():
     assert rep_l.quantile_bounds == pytest.approx((L / 36.0, L * math.pi**2 / 144.0))
     assert rep.min_rounds_exact == min_rounds_exact_opt(law)
     assert rep.min_rounds_grover == grover_based_min_rounds_exact(0.125)
-
-
-# ---------------------------------------------------------------------------
-# Score-cap round counts
-# ---------------------------------------------------------------------------
-
-
-def brute_min_rounds(k: float, limit: int = 10_000) -> int:
-    if k <= 0.0:
-        return 1
-    for r in range(1, limit):
-        if math.sqrt(r * (r + 1.0)) >= k - 1e-12:
-            return r
-    raise AssertionError("limit hit")
-
-
-def test_score_cap_fixed_point_matches_brute_scan():
-    rng = np.random.default_rng(14)
-    for _ in range(40):
-        law = random_discrete_law(rng)
-        if law.r_min == 0.0:
-            continue
-        r = int(rng.integers(1, 5))
-        lam = float(rng.uniform(0.0, 1.5))
-        c_cap, r_min = score_cap_min_rounds(law, r, lam)
-        assert c_cap == pytest.approx(2.0 * math.sqrt(r * (r + 1.0)))
-        k = (law.mean - lam * law.r_min) / (2.0 * law.std)
-        assert r_min == brute_min_rounds(k)
-
-
-def test_score_cap_vacuous_target():
-    law = make_two_point(0.3)  # mean -0.3, minimum -1
-    _, r_min = score_cap_min_rounds(law, 1, 0.3)  # k = 0
-    assert r_min == 1
-    _, r_min2 = score_cap_min_rounds(law, 1, 0.1)  # k < 0
-    assert r_min2 == 1
-
-
-def test_score_cap_large_target():
-    law = make_two_point(1e-8)  # sigma ~ 1e-4: lam = 1 needs many rounds
-    _, r_min = score_cap_min_rounds(law, 1, 1.0)
-    k = (law.mean - law.r_min) / (2.0 * law.std)
-    assert math.sqrt(r_min * (r_min + 1.0)) >= k - 1e-9
-    assert math.sqrt((r_min - 1) * r_min) < k
-
-
-def test_score_cap_rejects_unusable_minima():
-    with pytest.raises(DomainError):
-        score_cap_min_rounds(make_normal(0.0, 1.0), 1, 1.0)
-    zero_min = make_empirical([(0.0, 1), (1.0, 1)])
-    with pytest.raises(DomainError):
-        score_cap_min_rounds(zero_min, 1, 1.0)
 
 
 # ---------------------------------------------------------------------------

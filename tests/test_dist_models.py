@@ -22,7 +22,6 @@ from thqaoa.dist_models import (
     make_reflected_pareto,
     make_two_point,
     pareto_epsilon_for_exponent,
-    pareto_limit_L,
 )
 from thqaoa.errors import DomainError
 from thqaoa.maxcut import knn_spectrum
@@ -132,10 +131,6 @@ def test_reflected_pareto_cdf_and_mean():
 def test_pareto_helpers():
     for j in (0.1, 0.5, 0.99):
         assert pareto_epsilon_for_exponent(j) == pytest.approx(2.0 * (1.0 - j) / j)
-    for eps in (0.5, 3.0, 18.0):
-        assert pareto_limit_L(eps) == pytest.approx(
-            (1.0 + 1.0 / (1.0 + eps)) ** -(2.0 + eps)
-        )
     with pytest.raises(DomainError):
         pareto_epsilon_for_exponent(0.0)
     with pytest.raises(DomainError):

@@ -16,12 +16,10 @@ from thqaoa.dist_core import discretize_equal_mass
 from thqaoa.dist_models import make_empirical, make_normal, make_reflected_gamma, make_two_point
 from thqaoa.errors import ConvergenceWarning, DomainError
 from thqaoa.gmqaoa import (
-    characteristic_function,
     expectation_from_state,
     expectation_pair_sum,
     identity_phase,
     optimize_angles,
-    psi_function,
     simulate,
     threshold_phase,
 )
@@ -174,9 +172,9 @@ def test_characteristic_function_bounds_and_origin():
     rng = np.random.default_rng(7)
     laws = [random_discrete_law(rng), make_normal(1.0, 2.0)]
     for law in laws:
-        assert characteristic_function(law, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert law.characteristic_function(0.0) == pytest.approx(1.0, abs=1e-14)
         for g in np.linspace(-5, 5, 41):
-            assert abs(characteristic_function(law, float(g))) <= 1.0 + 1e-14
+            assert abs(law.characteristic_function(float(g))) <= 1.0 + 1e-14
 
 
 def test_characteristic_function_normal_vs_hermite_quadrature():
@@ -188,34 +186,23 @@ def test_characteristic_function_normal_vs_hermite_quadrature():
         ref = np.sum(weights * np.exp(1j * g * (u + s * math.sqrt(2.0) * nodes))) / math.sqrt(
             math.pi
         )
-        assert characteristic_function(law, g) == pytest.approx(ref, abs=1e-12)
+        assert law.characteristic_function(g) == pytest.approx(ref, abs=1e-12)
 
 
-def test_characteristic_function_unavailable_for_gamma_law():
-    with pytest.raises(DomainError):
-        characteristic_function(make_reflected_gamma(2.0, 1.0), 1.0)
-
-
-def test_psi_function_origin_gives_mean():
+def test_characteristic_derivative_origin_gives_mean():
     rng = np.random.default_rng(8)
     for law in (random_discrete_law(rng), make_normal(-1.5, 0.7)):
-        val = -1j * psi_function(law, identity_phase, 0.0)
+        val = -1j * law.characteristic_derivative(0.0)
         assert val.real == pytest.approx(law.mean, abs=1e-12)
         assert abs(val.imag) < 1e-14
 
 
-def test_psi_function_normal_is_characteristic_derivative():
-    law = make_normal(0.4, 1.1)
+def test_characteristic_derivative_matches_central_difference():
     h = 1e-6
-    for g in (-1.0, 0.3, 2.0):
-        numeric = (
-            characteristic_function(law, g + h) - characteristic_function(law, g - h)
-        ) / (2 * h)
-        assert psi_function(law, identity_phase, g) == pytest.approx(numeric, abs=1e-7)
-    with pytest.raises(DomainError):
-        psi_function(law, threshold_phase(0.0), 1.0)
-    with pytest.raises(DomainError):
-        psi_function(make_reflected_gamma(2.0, 1.0), identity_phase, 1.0)
+    for law in (make_normal(0.4, 1.1), random_discrete_law(np.random.default_rng(12))):
+        for g in (-1.0, 0.3, 2.0):
+            numeric = (law.characteristic_function(g + h) - law.characteristic_function(g - h)) / (2 * h)
+            assert law.characteristic_derivative(g) == pytest.approx(numeric, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

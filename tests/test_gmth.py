@@ -1,4 +1,4 @@
-"""Thresholded schedules: closed-form expectation, curves, optimizer, caps."""
+"""Thresholded schedules: closed-form expectation, curves, optimizer, round counts."""
 
 import dataclasses
 import hashlib
@@ -26,7 +26,6 @@ from thqaoa.gmth import (
     ThresholdCurve,
     _expectations,
     _threshold_objective,
-    certainty_threshold_cap,
     expectation_at_threshold,
     min_rounds_exact_opt,
     optimize_threshold,
@@ -50,6 +49,12 @@ def random_discrete_law(rng, max_atoms=12):
         values = np.sort(rng.normal(0.0, 3.0, n))
     counts = rng.integers(1, 50, n)
     return make_empirical(list(zip(values.tolist(), (int(c) for c in counts))))
+
+
+def certainty_cap(law, r):
+    """The smallest certainty threshold and the conditional mean below it."""
+    tau = law.quantile(threshold_ratio(r))
+    return tau, law.partial_expectation(tau) / law.cdf(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +256,13 @@ def test_curve_integer_grid_on_continuous_law():
         (make_normal(0.0, 1.0), 2000),
         (make_reflected_gamma(0.5, 0.5), 2000),
         (make_reflected_pareto(18.0, 1.0), 2000),
+        (make_binomial(200, 0.5), np.linspace(-1.0, 201.0, 2000).tolist()),
+        (make_normal(0.0, 1.0), np.linspace(-6.0, 0.0, 2000).tolist()),
+        (make_reflected_gamma(0.5, 0.5), np.linspace(-20.0, 0.0, 2000).tolist()),
+        (make_reflected_pareto(18.0, 1.0), np.linspace(-4.0, -0.5, 2000).tolist()),
     ],
-    ids=["binomial", "knn12", "normal", "gamma", "pareto"],
+    ids=["binomial", "knn12", "normal", "gamma", "pareto",
+         "binomial-list", "normal-list", "gamma-list", "pareto-list"],
 )
 def test_curve_points_equal_scalar_expectation_bit_for_bit(law, grid):
     for r in (1, 3, 100, 10**6):
@@ -336,7 +346,7 @@ def test_discrete_optimum_matches_full_scan():
         ]
         assert rep.E_r == pytest.approx(min(full), abs=1e-12)
         assert rep.t_opt in law.spectrum.values
-        tau, e_cap = certainty_threshold_cap(law, r)
+        tau, e_cap = certainty_cap(law, r)
         assert rep.t_opt <= tau
         assert rep.E_r <= e_cap + 1e-12
 
@@ -350,7 +360,7 @@ def test_continuous_optimum_beats_dense_scan():
             expectation_at_threshold(norm, r, norm.quantile(float(u))) for u in u_grid
         )
         assert rep.E_r <= dense + 1e-10
-        tau, e_cap = certainty_threshold_cap(norm, r)
+        tau, e_cap = certainty_cap(norm, r)
         assert rep.t_opt <= tau + 1e-12
         assert rep.E_r <= e_cap + 1e-12
         # the optimal threshold never reaches past the certainty mass
@@ -504,29 +514,6 @@ def test_exact_spectrum_csv_bytes_pinned(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert cli.run([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-# ---------------------------------------------------------------------------
-# Certainty cap
-# ---------------------------------------------------------------------------
-
-
-def test_certainty_cap_discrete_is_tightest_support_value():
-    law = make_empirical([(-3.0, 1), (-1.0, 1), (0.0, 6)])
-    # masses 1/8, 1/8, 3/4; prefix 0.125, 0.25, 1.0
-    tau, e_cap = certainty_threshold_cap(law, 1)  # rho_th(1) = 0.25
-    assert tau == -1.0
-    assert e_cap == pytest.approx(-2.0, abs=1e-14)  # (-3 - 1) / 2
-    tau2, e_cap2 = certainty_threshold_cap(law, 2)  # rho_th(2) ~ 0.0955
-    assert tau2 == -3.0 and e_cap2 == pytest.approx(-3.0)
-
-
-def test_certainty_cap_continuous_hits_quantile():
-    norm = make_normal(0.0, 1.0)
-    for r in (1, 3, 10):
-        tau, e_cap = certainty_threshold_cap(norm, r)
-        assert norm.cdf(tau) == pytest.approx(threshold_ratio(r), abs=1e-12)
-        assert e_cap < tau  # conditional mean of the tail sits below its top
 
 
 # ---------------------------------------------------------------------------
