@@ -14,14 +14,14 @@ form, what a Grover-mixer schedule can achieve on it:
   ``threshold_ratio(r)``, fine-tuned binary schedules, amplification
   ratios.
 * :mod:`thqaoa.gmth` -- threshold schedules: closed-form expectation at
-  any threshold, exact optimization, threshold curves, the exact-optimum
-  round count.
+  any threshold, exact optimization (``optimize_thresholds`` for many
+  rounds), threshold curves, the exact-optimum round count.
 * :mod:`thqaoa.gmqaoa` -- raw-cost schedules: collapsed simulator,
   O(r^2) characteristic-function expectation, angle optimization.
 * :mod:`thqaoa.bounds` -- performance bounds: the per-layer score slope
-  ``kappa``, the best-score curve ``c_th``, expectation floors from the
-  amplification cap (with the score cap), round-count lower bounds,
-  quantile envelopes.
+  ``kappa``, the best-score curve ``c_th`` (``c_ths`` for many rounds),
+  expectation floors from the amplification cap (with the score cap),
+  round-count lower bounds, quantile envelopes.
 * :mod:`thqaoa.maxcut` -- the complete-bipartite Max-Cut application:
   exact spectra with big-integer multiplicities and minimum round
   counts for approximation-ratio targets.
@@ -47,6 +47,7 @@ from .baselines import (
 from .bounds import (
     BoundReport,
     c_th,
+    c_ths,
     grover_based_min_rounds_exact,
     kappa,
     max_amplification_floor,
@@ -92,6 +93,7 @@ from .gmth import (
     expectation_at_threshold,
     min_rounds_exact_opt,
     optimize_threshold,
+    optimize_thresholds,
     threshold_curve,
     threshold_report,
 )
@@ -161,6 +163,7 @@ __all__ = [
     "threshold_report",
     "threshold_curve",
     "optimize_threshold",
+    "optimize_thresholds",
     "min_rounds_exact_opt",
     # raw-cost schedules
     "CollapsedState",
@@ -174,6 +177,7 @@ __all__ = [
     "BoundReport",
     "kappa",
     "c_th",
+    "c_ths",
     "max_amplification_floor",
     "grover_based_min_rounds_exact",
     "quantile_sandwich",

@@ -7,7 +7,7 @@ Contents:
   smallest positive root of ``2x = tan x``.
 * :func:`c_th` -- the exact per-round score ceiling: the maximum of
   ``(P(rho, r) - rho)/sqrt(rho(1-rho))`` over the marked mass, attained
-  by a two-point law.
+  by a two-point law; :func:`c_ths` searches many round counts at once.
 * :func:`max_amplification_floor` -- the expectation floor obtained by
   granting every low-cost state the maximal amplification ``(2r+1)^2``.
   Its report also carries the universal score cap ``2 sqrt(r(r+1))``.
@@ -26,21 +26,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dist_core import DiscreteLaw, Distribution
+from .dist_core import DiscreteLaw, Distribution, _math_map
 from .dist_models import EmpiricalLaw
 from .errors import DomainError
 from .gmqaoa import PhaseFunction, simulate
-from .gmth import _golden_section_argmin, min_rounds_exact_opt
+from .gmth import _golden_section_argmin_batch, min_rounds_exact_opt
 from .grover_kernel import AngleSchedule, _check_rounds, threshold_ratio
 
 __all__ = [
     "BoundReport",
     "kappa",
     "c_th",
+    "c_ths",
     "max_amplification_floor",
     "grover_based_min_rounds_exact",
     "quantile_sandwich",
@@ -95,35 +96,42 @@ def c_th(r: int) -> Tuple[float, float]:
 
     Maximizes ``(P(rho,r) - rho)/sqrt(rho(1-rho))``; the maximum is
     attained by the two-point law with the returned marked mass.
-    Golden-section search in log-mass over ``(0, threshold_ratio(r)]``
-    (the optimum sits at a constant fraction of the certainty ratio).
-    Returns ``(rho_star, C_Th)``.
-
-    ``P`` keeps numpy's ``arcsin`` and ``sin`` on a one-element array,
-    the path fig1's pinned values were computed on: ``math`` differs
-    from it in the last bit for about 1.4% of the masses searched.  The
-    rest of the score is correctly rounded arithmetic, the same on any
-    path.
+    Returns ``(rho_star, C_Th)``: :func:`c_ths` for the one round count.
     """
-    r = _check_rounds(r)
-    rho_th = threshold_ratio(r)
-    k = 2.0 * r + 1.0
-    hi = math.log(rho_th)
+    return c_ths([r])[0]
+
+
+def c_ths(rounds: Iterable[int]) -> List[Tuple[float, float]]:
+    """:func:`c_th` for each round count in ``rounds``, in order.
+
+    One golden-section search per round in log-mass over
+    ``(0, threshold_ratio(r)]`` (the optimum sits at a constant fraction
+    of the certainty ratio), all of them stepped in lockstep on numpy
+    arrays by the threshold optimizer's helper.  Each search takes the
+    scalar search's steps, so every result equals the one-round search's
+    bit for bit.
+
+    ``P`` keeps numpy's ``arcsin`` and ``sin``, the path fig1's pinned
+    values were computed on: ``math`` differs from it in the last bit
+    for about 1.4% of the masses searched.  The rest of the score is
+    correctly rounded arithmetic, the same on any path.
+    """
+    rounds = [_check_rounds(r) for r in rounds]
+    if not rounds:
+        return []
+    rho_th = np.array([threshold_ratio(r) for r in rounds], dtype=np.float64)
+    k = np.array([2.0 * r + 1.0 for r in rounds], dtype=np.float64)
+    hi = _math_map(math.log, rho_th)
     lo = hi + math.log(1e-6)
-    mass = np.empty(1)
 
-    def value_at(v: float) -> float:
-        rho = math.exp(v)
-        if rho >= rho_th:
-            p = 1.0
-        else:
-            mass[0] = rho
-            s = float(np.sin(k * np.arcsin(np.sqrt(mass)))[0])
-            p = s * s
-        return -((p - rho) / math.sqrt(rho * (1.0 - rho)))
+    def value_at(v: np.ndarray, idx) -> np.ndarray:
+        rho = _math_map(math.exp, v)
+        s = np.sin(k[idx] * np.arcsin(np.sqrt(rho)))
+        p = np.where(rho >= rho_th[idx], 1.0, s * s)
+        return -((p - rho) / np.sqrt(rho * (1.0 - rho)))
 
-    v, value = _golden_section_argmin(value_at, lo, hi, 1e-13)
-    return math.exp(v), -value
+    v, value = _golden_section_argmin_batch(value_at, lo, hi, 1e-13)
+    return list(zip(_math_map(math.exp, v).tolist(), (-value).tolist()))
 
 
 def max_amplification_floor(

@@ -346,10 +346,7 @@ def _cmd_kappa(cfg: Dict[str, Any]):
 
 def _cmd_cthr(cfg: Dict[str, Any]):
     rounds = _parse_rounds(cfg["r"])
-    rows = []
-    for r in rounds:
-        rho_star, cth = bounds.c_th(r)
-        rows.append((r, rho_star, cth, cth / r))
+    rows = [(r, rho_star, cth, cth / r) for r, (rho_star, cth) in zip(rounds, bounds.c_ths(rounds))]
     return ("r", "rho_star", "cth", "cth_over_r"), rows
 
 
@@ -670,11 +667,19 @@ _COMMANDS: Dict[str, Tuple[str, Tuple[_Option, ...]]] = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(only: Optional[str] = None) -> _Parser:
+    """The CLI's parser: every subcommand, or only the subcommand ``only``.
+
+    A parser with one subcommand parses that subcommand's arguments,
+    help and errors as the full parser does; :func:`run` builds it when
+    the first argument names a subcommand, and the full one otherwise.
+    """
     parser = _Parser(prog="thqaoa", description=__doc__, add_help=True,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="<subcommand>")
     for name, (help_text, options) in _COMMANDS.items():
+        if only is not None and name != only:
+            continue
         p = sub.add_parser(name, help=help_text, add_help=True)
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
         p.add_argument("--config", default=None, help="key=value config file")
@@ -733,7 +738,8 @@ def _merge_config(ns: argparse.Namespace) -> Dict[str, Any]:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
         header, rows = _HANDLERS[ns.subcommand](_merge_config(ns))

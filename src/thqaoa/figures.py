@@ -38,12 +38,12 @@ Series overview
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import baselines, bounds, gmqaoa, gmth, maxcut
-from .dist_core import Distribution, _lazy_import, discretize_equal_mass
+from .dist_core import _lazy_import, discretize_equal_mass
 from .dist_models import (
     make_binomial,
     make_normal,
@@ -128,10 +128,8 @@ def _log_round_grid(limit: int) -> List[int]:
 
 
 def fig1_rows() -> Tuple[Header, List[Row]]:
-    rows: List[Row] = []
-    for r in range(1, 51):
-        _, cth = bounds.c_th(r)
-        rows.append((r, cth, cth / r))
+    rounds = range(1, 51)
+    rows: List[Row] = [(r, cth, cth / r) for r, (_, cth) in zip(rounds, bounds.c_ths(rounds))]
     return ("r", "cth", "cth_over_r"), rows
 
 

@@ -31,7 +31,16 @@ the elements -- numpy's own differ from libm in the last bit on a few
 percent of doubles.  The law terms equal the scalar queries too: a
 discrete law's prefix tables, a continuous law's ``_search_terms``, or
 the scalar ``cdf`` and ``partial_expectation`` themselves.  So every
-curve point equals :func:`expectation_at_threshold`, and
+curve point equals :func:`expectation_at_threshold`.
+
+The lockstep (:func:`_golden_section_argmin_batch`) steps whole arrays
+while every search is live and carries by index only the last searches,
+whose brackets differ by a few ulps; ``bounds.c_ths`` runs its score
+searches on the same helper.  Every report is assembled by one function,
+:func:`_reports`, from a threshold, its marked mass and its expectation:
+:func:`threshold_report` queries them for its one threshold, and
+:func:`optimize_thresholds` takes them from what its searches already
+hold, querying the law only for each report's ``quantile``.  So
 :func:`optimize_thresholds` returns :func:`optimize_threshold`'s
 reports, bit for bit.
 """
@@ -46,7 +55,7 @@ import numpy as np
 
 from .dist_core import ContinuousLaw, DiscreteLaw, Distribution, _math_map
 from .errors import DomainError
-from .grover_kernel import _check_rounds, grover_probability, threshold_ratio
+from .grover_kernel import _check_rounds, _threshold_ratio_any, threshold_ratio
 
 __all__ = [
     "ThresholdReport",
@@ -176,24 +185,49 @@ def threshold_report(dist: Distribution, r: int, t: float) -> ThresholdReport:
     """Evaluate one threshold and assemble the full scorecard."""
     r = _check_rounds(r)
     e_r = expectation_at_threshold(dist, r, t)
-    rho = dist.cdf(t)
-    p = grover_probability(rho, r) if rho > 0.0 else 0.0
-    cap = float((2 * r + 1) ** 2)  # p / rho can pass it by an ulp or two as rho -> 0
-    eta = min(p / rho, cap) if rho > 0.0 else cap
-    r_min = dist.r_min
-    lam = e_r / r_min if math.isfinite(r_min) and r_min != 0.0 else None
-    return ThresholdReport(
-        r=r,
-        t_opt=float(t),
-        T=float(t) - dist.mean,
-        rho=rho,
-        P=p,
-        E_r=e_r,
-        C_r=(dist.mean - e_r) / dist.std,
-        quantile=dist.cdf(e_r),
-        eta=eta,
-        lam=lam,
-    )
+    rho_th, k = _round_terms([r])
+    return _reports(dist, [r], rho_th, k, np.array([float(t)]), np.array([dist.cdf(t)]), np.array([e_r]))[0]
+
+
+def _round_terms(rounds: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``threshold_ratio(r)`` and ``k = 2r + 1`` for each checked round count."""
+    rho_th = np.array([_threshold_ratio_any(r) for r in rounds], dtype=np.float64)
+    k = np.array([2.0 * r + 1.0 for r in rounds], dtype=np.float64)
+    return rho_th, k
+
+
+def _reports(
+    dist: Distribution,
+    rounds: List[int],
+    rho_th: np.ndarray,
+    k: np.ndarray,
+    t: np.ndarray,
+    rho: np.ndarray,
+    e_r: np.ndarray,
+) -> List[ThresholdReport]:
+    """The scorecards of thresholds ``t`` from terms a caller already holds.
+
+    One element per round: checked ``rounds`` with their
+    :func:`_round_terms`, the threshold ``t``, its marked mass
+    ``rho = F(t)`` and its expectation ``e_r = E_r(t)``.  ``P`` is
+    :func:`grover_probability`'s formula with :mod:`math`'s ``asin`` and
+    ``sin`` mapped over the elements, and the rest is correctly rounded
+    arithmetic, so every field equals the scalar computation's; the law
+    is queried once per report, for ``quantile = F(E_r)``.  Every report
+    of this module is assembled here.
+    """
+    s = _math_map(math.sin, k * _math_map(math.asin, np.sqrt(rho)))
+    p = np.where(rho >= rho_th, 1.0, s * s)
+    cap = np.array([float((2 * r + 1) ** 2) for r in rounds])
+    # p / rho can pass the cap by an ulp or two as rho -> 0
+    eta = np.minimum(np.divide(p, rho, out=cap.copy(), where=rho > 0.0), cap)
+    mu, r_min = dist.mean, dist.r_min
+    lam = (e_r / r_min).tolist() if math.isfinite(r_min) and r_min != 0.0 else [None] * len(rounds)
+    columns = (t, t - mu, rho, p, e_r, (mu - e_r) / dist.std, _math_map(dist.cdf, e_r), eta)
+    return [
+        ThresholdReport(*fields)
+        for fields in zip(rounds, *(column.tolist() for column in columns), lam)
+    ]
 
 
 def _expectations(mu: float, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.ndarray:
@@ -204,20 +238,23 @@ def _expectations(mu: float, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.nd
     :func:`_threshold_objective`, on arrays, with ``asin`` and ``sin``
     from :mod:`math`: every element equals the scalar objective for the
     same ``(rho, g)`` bit for bit, and a nan marked mass raises as the
-    kernel does.
+    kernel does.  When every element takes the general branch, as in a
+    threshold search, no element is gathered or scattered.
     """
-    live = ~((rho <= 0.0) | (rho >= 1.0))
-    general = live & ~(rho >= rho_th)
-    rg = rho[general]
-    if np.any(rg != rg):  # nan passes both tests above; the kernel rejects it
-        raise DomainError(f"amplification requires 0 < rho <= 1, got {float(rg[rg != rg][0])!r}")
-    kg = k[general] if np.ndim(k) else k
+    boosted = rho >= rho_th  # rho_th < 1, so this holds wherever rho >= 1
+    general = ~((rho <= 0.0) | boosted)  # nan fails both tests, as in the scalar objective
+    every = general.all()
+    rg, kg = (rho, k) if every else (rho[general], k[general] if np.ndim(k) else k)
+    if np.isnan(rg).any():  # the kernel rejects a nan marked mass
+        raise DomainError(f"amplification requires 0 < rho <= 1, got {float(rg[np.isnan(rg)][0])!r}")
     s = _math_map(math.sin, kg * _math_map(math.asin, np.sqrt(rg)))
     # Silent, as Python floats overflow to inf and give nan silently; the
     # division's value is discarded where rho = 0 or the element is general.
     with np.errstate(all="ignore"):
         g_y = g - mu * rho
-        e = np.where(live, mu + g_y / rho, mu)  # the boosted value wherever rho >= rho_th
+        if every:
+            return mu + g_y * (s * s / rho - 1.0) / (1.0 - rho)
+        e = np.where(boosted & (rho < 1.0), mu + g_y / rho, mu)
         e[general] = mu + g_y[general] * (s * s / rg - 1.0) / (1.0 - rg)
     return e
 
@@ -297,14 +334,15 @@ def _golden_section_argmin(
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _optimize_discrete(law: DiscreteLaw, r: int) -> Tuple[float, float]:
-    """Optimal threshold over a discrete support, and its expectation.
+def _optimize_discrete(law: DiscreteLaw, r: int) -> Tuple[float, float, float]:
+    """Optimal threshold over a discrete support: ``(t, F(t), E_r(t))``.
 
     The expectation beyond the certainty region is the plain conditional
     mean E[X|X<=t], which is non-decreasing in t, so the candidate set
     is every support value with F <= threshold_ratio(r) plus the first
-    one beyond.  Ties go to the smallest threshold.  The expectation is
-    the scalar objective's at that threshold, bit for bit.
+    one beyond.  Ties go to the smallest threshold.  ``F(t)`` is the
+    prefix table's entry, which is what ``law.cdf(t)`` returns, and the
+    expectation is the scalar objective's at ``t``, bit for bit.
     """
     spectrum = law.spectrum
     rho_th = threshold_ratio(r)
@@ -318,7 +356,7 @@ def _optimize_discrete(law: DiscreteLaw, r: int) -> Tuple[float, float]:
         2.0 * r + 1.0,
     )
     best = int(np.argmin(e))
-    return float(spectrum.values[best]), float(e[best])
+    return float(spectrum.values[best]), float(spectrum.mass_prefix[best]), float(e[best])
 
 
 def _optimize_continuous(dist: Distribution, r: int) -> float:
@@ -350,20 +388,8 @@ def _optimize_continuous(dist: Distribution, r: int) -> float:
     return quantile(best_u)
 
 
-def _expectations_on_masses(
-    law: ContinuousLaw, u: np.ndarray, rho_th: np.ndarray, k: np.ndarray
-) -> np.ndarray:
-    """E_r(quantile(u)) elementwise, each round with its own ``rho_th`` and ``k``,
-    from one ``_search_terms`` query of the law."""
-    in_domain = (u > 0.0) & (u < 1.0)
-    if not in_domain.all():
-        law._check_quantile_domain(float(u[~in_domain][0]))
-    _, rho, g = law._search_terms(u)
-    return _expectations(law.mean, rho, g, rho_th, k)
-
-
 def _golden_section_argmin_batch(
-    value_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    value_at: Callable[[np.ndarray, Union[slice, np.ndarray]], np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
     tol: float,
@@ -373,17 +399,30 @@ def _golden_section_argmin_batch(
     ``value_at(x, idx)`` evaluates the objectives of searches ``idx`` at
     ``x``.  Every search takes the scalar search's steps -- the same
     comparisons, ties and points -- and drops out once its bracket is at
-    most ``tol`` wide; brackets of equal width finish together.
+    most ``tol`` wide.  While every search is live the whole arrays are
+    stepped and ``idx`` is ``slice(None)``; brackets that differ by a few
+    ulps can finish a step apart, and that tail steps the live searches
+    by index, gathering and scattering their entries.
     """
+    every = slice(None)
     a, b = a.copy(), b.copy()
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    every = np.arange(a.size)
     fc, fd = value_at(c, every), value_at(d, every)
-    live = every[(b - a) > tol]
+    width = b - a
+    while width.size and width.min() > tol:
+        left = fc <= fd  # the scalar search's `if fc <= fd` branch
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        width = b - a
+        step = _INV_GOLDEN * width
+        x = np.where(left, b - step, a + step)
+        fx = value_at(x, every)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    live = np.flatnonzero(width > tol)
     while live.size:
         la, lb, lc, ld, lfc, lfd = a[live], b[live], c[live], d[live], fc[live], fd[live]
-        left = lfc <= lfd  # the scalar search's `if fc <= fd` branch
+        left = lfc <= lfd
         na = np.where(left, la, lc)
         nb = np.where(left, ld, lb)
         x = np.where(left, nb - _INV_GOLDEN * (nb - na), na + _INV_GOLDEN * (nb - na))
@@ -398,24 +437,41 @@ def _golden_section_argmin_batch(
     return np.where(take_c, c, d), np.where(take_c, fc, fd)
 
 
-def _optimize_continuous_batch(law: ContinuousLaw, rounds: List[int]) -> List[float]:
-    """:func:`_optimize_continuous` for every round in ``rounds`` at once."""
-    rho_th = np.array([threshold_ratio(r) for r in rounds], dtype=np.float64)
-    k = np.array([2.0 * r + 1.0 for r in rounds], dtype=np.float64)
+def _optimize_continuous_batch(
+    law: ContinuousLaw, rho_th: np.ndarray, k: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_optimize_continuous` for every round at once.
+
+    ``rho_th`` and ``k`` hold each round's :func:`_round_terms`.  Returns
+    the winning marked masses ``u`` and their expectations
+    ``E_r(quantile(u))``.
+    """
     hi = _math_map(math.log, rho_th)
     lo = hi + math.log(CONTINUOUS_SEARCH_SPAN)
+    u_lo = _math_map(math.exp, lo)
+    # Every mass tried lies in [u_lo, rho_th], as exp is monotone, and
+    # rho_th <= 1/4: only an underflow at the lower end leaves the domain.
+    outside = u_lo[~(u_lo > 0.0)]
+    if outside.size:
+        law._check_quantile_domain(float(outside[0]))
+    mu = law.mean
 
-    def value_at(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return _expectations_on_masses(law, _math_map(math.exp, v), rho_th[idx], k[idx])
+    def e_at(u: np.ndarray, idx: Union[slice, np.ndarray]) -> np.ndarray:
+        _, rho, g = law._search_terms(u)
+        return _expectations(mu, rho, g, rho_th[idx], k[idx])
+
+    def value_at(v: np.ndarray, idx: Union[slice, np.ndarray]) -> np.ndarray:
+        return e_at(_math_map(math.exp, v), idx)
 
     with np.errstate(all="ignore"):  # Python floats give inf and nan without a warning
         v_best, best_e = _golden_section_argmin_batch(value_at, lo, hi, CONTINUOUS_SEARCH_TOLERANCE)
         best_u = _math_map(math.exp, v_best)
-        for u in (rho_th, _math_map(math.exp, lo)):
-            e = _expectations_on_masses(law, u, rho_th, k)
+        # The search's own winner first, so that ties keep it.
+        for u in (rho_th, u_lo):
+            e = e_at(u, slice(None))
             better = e < best_e
             best_u, best_e = np.where(better, u, best_u), np.where(better, e, best_e)
-    return [law.quantile(u) for u in best_u.tolist()]
+    return best_u, best_e
 
 
 def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
@@ -436,7 +492,7 @@ def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
     """
     r = _check_rounds(r)
     if isinstance(dist, DiscreteLaw):
-        t_opt, _ = _optimize_discrete(dist, r)
+        t_opt, _, _ = _optimize_discrete(dist, r)
     else:
         t_opt = _optimize_continuous(dist, r)
     return threshold_report(dist, r, t_opt)
@@ -447,15 +503,24 @@ def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[Thres
 
     On a continuous law the golden-section searches of all rounds run at
     once, as numpy arrays stepped in lockstep (see the module docstring);
-    every report equals ``optimize_threshold(dist, r)`` bit for bit.  A
-    discrete law's scan is already vectorized over its candidates, so it
-    runs once per round.
+    a discrete law's scan is already vectorized over its candidates, so
+    it runs once per round.  The reports are then assembled from what
+    the searches hold -- the winning threshold, its marked mass (one
+    ``_search_terms`` query of the winning masses, or the prefix table)
+    and its expectation -- with no round rechecked, no objective rebuilt
+    and no ``cdf(t)`` or ``partial_expectation(t)`` queried again.
+    Every report equals ``optimize_threshold(dist, r)`` bit for bit.
     """
     rounds = [_check_rounds(r) for r in rounds]
+    if not rounds:
+        return []
+    rho_th, k = _round_terms(rounds)
     if isinstance(dist, DiscreteLaw):
-        return [optimize_threshold(dist, r) for r in rounds]
-    t_opts = _optimize_continuous_batch(dist, rounds)
-    return [threshold_report(dist, r, t) for r, t in zip(rounds, t_opts)]
+        t, rho, e_r = np.array([_optimize_discrete(dist, r) for r in rounds]).T
+    else:
+        u, e_r = _optimize_continuous_batch(dist, rho_th, k)
+        t, rho, _ = dist._search_terms(u)
+    return _reports(dist, rounds, rho_th, k, t, rho, e_r)
 
 
 def min_rounds_exact_opt(dist: Distribution) -> int:

@@ -36,6 +36,7 @@ __all__ = [
     "grover_probability_poly",
     "optimal_binary_angles",
     "amplification_ratio",
+    "POLY_MAX_ROUNDS",
 ]
 
 #: Largest layer count accepted by the polynomial form (conditioning limit).

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -278,7 +278,7 @@ def _achieved_ratio(law_y: EmpiricalLaw, n: int, r: int, bound_kind: str) -> flo
     if bound_kind == "max_amplification":
         _, _, expectation = _floor_terms(law_y, r)
     else:
-        _, expectation = _optimize_discrete(law_y, r)
+        _, _, expectation = _optimize_discrete(law_y, r)
     return 0.5 - expectation / float(n * n)
 
 

@@ -155,6 +155,50 @@ def grover_probability_reference(rho: float, r: int) -> Tuple[float, float]:
         return float(p), float(p / x)
 
 
+def c_th_reference(r: int) -> Tuple[float, float]:
+    """``(rho_star, C_Th)`` for one round count, by a scalar golden-section search.
+
+    The search ``bounds.c_th`` ran before it searched many round counts
+    in lockstep, written out in Python floats: the score
+    ``(P - rho)/sqrt(rho(1 - rho))`` is maximized in log-mass over
+    ``[threshold_ratio(r) * 1e-6, threshold_ratio(r)]`` to a width of
+    1e-13.  ``P`` takes numpy's ``arcsin`` and ``sin`` on a one-element
+    array, as fig1's pinned values did.
+    """
+    half_angle = math.sin(math.pi / (4.0 * r + 2.0))
+    rho_th = half_angle * half_angle
+    k = 2.0 * r + 1.0
+    mass = np.empty(1)
+
+    def value_at(v: float) -> float:
+        rho = math.exp(v)
+        if rho >= rho_th:
+            p = 1.0
+        else:
+            mass[0] = rho
+            s = float(np.sin(k * np.arcsin(np.sqrt(mass)))[0])
+            p = s * s
+        return -((p - rho) / math.sqrt(rho * (1.0 - rho)))
+
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+    b = math.log(rho_th)
+    a = b + math.log(1e-6)
+    c = b - inv_golden * (b - a)
+    d = a + inv_golden * (b - a)
+    fc, fd = value_at(c), value_at(d)
+    while (b - a) > 1e-13:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_golden * (b - a)
+            fc = value_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_golden * (b - a)
+            fd = value_at(d)
+    v, value = (c, fc) if fc <= fd else (d, fd)
+    return math.exp(v), -value
+
+
 # ---------------------------------------------------------------------------
 # Dense full-space circuit simulation (no degeneracy collapse)
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import oracles
 from thqaoa import bounds, cli, gmqaoa
 from thqaoa.bounds import (
     c_th,
+    c_ths,
     grover_based_min_rounds_exact,
     kappa,
     max_amplification_floor,
@@ -81,6 +82,26 @@ def test_c_th_growth_and_asymptotic_slope():
     assert abs(c50 / 50.0 - k) < 0.05 * k
     with pytest.raises(DomainError):
         c_th(0)
+
+
+def _hex_pairs(pairs):
+    return [(rho_star.hex(), score.hex()) for rho_star, score in pairs]
+
+
+def test_lockstep_c_th_equals_scalar_search_bit_for_bit():
+    # The lockstep search must take every step of the scalar one.
+    rng = np.random.default_rng(20260101)
+    rounds = list(range(1, 201)) + rng.integers(201, 10**6, 150).tolist() + [10**6, 7, 1]
+    expected = _hex_pairs(oracles.c_th_reference(r) for r in rounds)
+    assert _hex_pairs(c_ths(rounds)) == expected
+    assert _hex_pairs(c_th(r) for r in rounds[::37]) == expected[::37]
+
+
+def test_lockstep_c_th_checks_rounds():
+    assert c_ths([]) == []
+    for rounds in ([3, 0], [2.5], [1, -4]):
+        with pytest.raises(DomainError, match="round count"):
+            c_ths(rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,42 @@ def test_help_exits_zero(capsys):
     assert "--dist" in out
 
 
+def _parse_outcome(capsys, parser, argv):
+    """The namespace, help text or error message a parser makes of argv."""
+    try:
+        outcome = ("parsed", vars(parser.parse_args(argv)))
+    except ConfigError as exc:
+        outcome = ("error", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
+def test_one_subcommand_parser_matches_full_parser(capsys, subcommand):
+    # run() builds only the named subcommand's parser; whatever follows the
+    # name must parse, print and fail exactly as with every subcommand built.
+    options = [opt.name.replace("_", "-") for opt in cli._COMMANDS[subcommand][1]]
+    argvs = [[], ["--help"], ["--bogus", "1"], ["fig1"], ["fig1", "extra"], ["--out"]]
+    argvs += [[f"--{name}"] for name in options] + [[f"--{name}=x!"] for name in options]
+    argvs += [[f"--{name}=-1" for name in options]]
+    full = cli._build_parser()
+    one = cli._build_parser(subcommand)
+    assert list(one._subparsers._group_actions[0].choices) == [subcommand]
+    for argv in argvs:
+        argv = [subcommand] + argv
+        assert _parse_outcome(capsys, one, argv) == _parse_outcome(capsys, full, argv), argv
+
+
+def test_unknown_subcommand_falls_back_to_full_parser(capsys):
+    code, _, err = run_cli(capsys, "nosuch", "--r", "1")
+    assert code == 2
+    assert all(name in err for name in cli._COMMANDS), err
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert all(name in out for name in cli._COMMANDS)
+
+
 # ---------------------------------------------------------------------------
 # Spec parsers: any text is a valid value or a clean rejection
 # ---------------------------------------------------------------------------

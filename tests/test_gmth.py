@@ -25,6 +25,8 @@ from thqaoa.errors import DomainError
 from thqaoa.gmth import (
     ThresholdCurve,
     _expectations,
+    _golden_section_argmin,
+    _golden_section_argmin_batch,
     _threshold_objective,
     expectation_at_threshold,
     min_rounds_exact_opt,
@@ -388,14 +390,23 @@ _ROUND_SETS = st.one_of(
 )
 
 
-@given(law=_CONTINUOUS_LAWS, rounds=_ROUND_SETS)
+# Small exact laws: distinct values on a 1/16 grid, integer counts up to 10^30.
+_EMPIRICAL_LAWS = st.lists(
+    st.tuples(st.integers(-16_000, 16_000).map(lambda v: v / 16.0), st.integers(1, 10**30)),
+    min_size=2,
+    max_size=12,
+    unique_by=lambda pair: pair[0],
+).map(lambda pairs: make_empirical(sorted(pairs)))
+
+
+@given(law=st.one_of(_CONTINUOUS_LAWS, _EMPIRICAL_LAWS), rounds=_ROUND_SETS)
 @example(law=make_normal(0.0, 1.0), rounds=_FIG2_GRID)
 @example(law=make_reflected_gamma(0.005, 0.5), rounds=_FIG4_GRID)
 @example(law=make_reflected_gamma(50.0, 0.5), rounds=_FIG4_GRID)
 @example(law=make_reflected_pareto(18.0, 1.0), rounds=list(range(1, 301)))
 @example(law=make_normal(100.0, 50 ** 0.5), rounds=[1, 10**8, 1, 7])
 @example(law=make_binomial(200, 0.5), rounds=[1, 2, 100, 2])
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_batched_optima_equal_scalar_optima_bit_for_bit(law, rounds):
     # The lockstep search must take every step of the scalar one, so each
     # report field is the same double, not merely a close one.
@@ -414,6 +425,41 @@ def test_batched_optima_check_rounds_and_masses():
     # exp of the search's lower end underflows to 0, outside the quantile's domain
     with pytest.raises(DomainError, match="quantile probability"):
         optimize_thresholds(law, [10**160])
+
+
+_BRACKETS = st.lists(
+    st.tuples(st.floats(-50.0, 50.0), st.floats(0.0, 100.0), st.floats(-60.0, 60.0)),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(brackets=_BRACKETS, plateaus=st.booleans(), tol=st.sampled_from([1e-12, 1e-6, 0.5]))
+@example(brackets=[(0.0, 1.0, 0.3)] * 3, plateaus=False, tol=1e-12)
+@example(brackets=[(-1.0, 2.0, 0.0), (-1.0, 2.0 + 2**-40, 0.0), (5.0, 0.0, 5.0)], plateaus=True, tol=1e-12)
+@settings(max_examples=200, deadline=None)
+def test_batch_golden_section_equals_scalar_bit_for_bit(brackets, plateaus, tol):
+    # Brackets of unequal width finish at different steps, so the lockstep
+    # leaves its whole-array steps and carries the rest by index; the
+    # plateaus of a floored parabola make the searches meet ties.
+    a = np.array([lo for lo, _, _ in brackets])
+    b = a + np.array([width for _, width, _ in brackets])
+    m = np.array([centre for _, _, centre in brackets])
+
+    def value_at(x, idx):
+        y = (x - m[idx]) * (x - m[idx])
+        return np.floor(y) if plateaus else y
+
+    x_batch, f_batch = _golden_section_argmin_batch(value_at, a, b, tol)
+    expected = []
+    for lo, hi, centre in zip(a.tolist(), b.tolist(), m.tolist()):
+
+        def scalar(x, centre=centre):
+            y = (x - centre) * (x - centre)
+            return float(math.floor(y)) if plateaus else y
+
+        expected.append(tuple(v.hex() for v in _golden_section_argmin(scalar, lo, hi, tol)))
+    assert [(x.hex(), f.hex()) for x, f in zip(x_batch.tolist(), f_batch.tolist())] == expected
 
 
 @given(law=_CONTINUOUS_LAWS, exponents=st.lists(st.floats(-320.0, -1e-9), min_size=1, max_size=40))

@@ -8,6 +8,7 @@ package would break a traced benchmark run without failing anything
 else, so these lookups are checked here.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -75,3 +76,21 @@ def test_benchmark_tracer_installs_counts_and_restores(tmp_path):
     assert after.keys() == before.keys()
     moved = [key for key in before if after[key] is not before[key]]
     assert not moved, f"not restored: {moved}"
+
+
+def test_package_exports_are_their_modules_exports():
+    # Each name the package exports is imported from one module; that
+    # module's own __all__ must list it, so the two surfaces agree.
+    source = inspect.getsource(thqaoa)
+    home = {
+        alias.asname or alias.name: node.module
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    for name in thqaoa.__all__:
+        if name == "__version__":
+            continue
+        assert name in home, f"thqaoa.__all__ lists {name!r}, which no module import provides"
+        module = importlib.import_module(f"thqaoa.{home[name]}")
+        assert name in module.__all__, f"{name!r} is exported by thqaoa but not by {module.__name__}"
