@@ -34,8 +34,8 @@ from .dist_core import DiscreteLaw, Distribution, _math_map
 from .dist_models import EmpiricalLaw
 from .errors import DomainError
 from .gmqaoa import PhaseFunction, simulate
-from .gmth import _golden_section_argmin_batch, min_rounds_exact_opt
-from .grover_kernel import AngleSchedule, _check_rounds, threshold_ratio
+from .gmth import _golden_section_argmin_batch, _round_terms, min_rounds_exact_opt
+from .grover_kernel import AngleSchedule, _check_rounds
 
 __all__ = [
     "BoundReport",
@@ -108,8 +108,9 @@ def c_ths(rounds: Iterable[int]) -> List[Tuple[float, float]]:
     ``(0, threshold_ratio(r)]`` (the optimum sits at a constant fraction
     of the certainty ratio), all of them stepped in lockstep on numpy
     arrays by the threshold optimizer's helper.  Each search takes the
-    scalar search's steps, so every result equals the one-round search's
-    bit for bit.
+    steps of a scalar golden-section search of its round alone (kept in
+    ``tests/oracles.py`` as the reference), so every result equals that
+    search's bit for bit.
 
     ``P`` keeps numpy's ``arcsin`` and ``sin``, the path fig1's pinned
     values were computed on: ``math`` differs from it in the last bit
@@ -119,8 +120,7 @@ def c_ths(rounds: Iterable[int]) -> List[Tuple[float, float]]:
     rounds = [_check_rounds(r) for r in rounds]
     if not rounds:
         return []
-    rho_th = np.array([threshold_ratio(r) for r in rounds], dtype=np.float64)
-    k = np.array([2.0 * r + 1.0 for r in rounds], dtype=np.float64)
+    rho_th, k = _round_terms(rounds)
     hi = _math_map(math.log, rho_th)
     lo = hi + math.log(1e-6)
 
