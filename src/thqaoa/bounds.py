@@ -35,7 +35,7 @@ from .dist_models import EmpiricalLaw
 from .errors import DomainError
 from .gmqaoa import PhaseFunction, simulate
 from .gmth import _golden_section_argmin_batch, _round_terms, min_rounds_exact_opt
-from .grover_kernel import AngleSchedule, _check_rounds
+from .grover_kernel import AngleSchedule, _check_rounds, _float_or_inf
 
 __all__ = [
     "BoundReport",
@@ -47,6 +47,14 @@ __all__ = [
     "quantile_sandwich",
     "simulated_amplification",
 ]
+
+#: Largest round count :func:`c_ths` searches.  The search runs in
+#: log-mass to a width of 1e-13, and past about 8e110 rounds its optimum
+#: falls below -512, where adjacent doubles lie 1.1e-13 apart: the
+#: bracket could never get narrow enough.  Up to 10**110 the optimum
+#: stays above -508.
+C_TH_MAX_ROUNDS = 10**110
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -116,10 +124,14 @@ def c_ths(rounds: Iterable[int]) -> List[Tuple[float, float]]:
     values were computed on: ``math`` differs from it in the last bit
     for about 1.4% of the masses searched.  The rest of the score is
     correctly rounded arithmetic, the same on any path.
+
+    Round counts above :data:`C_TH_MAX_ROUNDS` raise ``DomainError``.
     """
     rounds = [_check_rounds(r) for r in rounds]
     if not rounds:
         return []
+    if max(rounds) > C_TH_MAX_ROUNDS:
+        raise DomainError(f"c_th is searched up to r = 10**110, got r = {max(rounds)}")
     rho_th, k = _round_terms(rounds)
     hi = _math_map(math.log, rho_th)
     lo = hi + math.log(1e-6)
@@ -168,20 +180,22 @@ def max_amplification_floor(
 def _floor_terms(dist: Distribution, r: int) -> Tuple[float, float, float]:
     """Per-r core of :func:`max_amplification_floor`: ``(tau1, tau2, E_floor)``."""
     r = _check_rounds(r)
-    den = float((2 * r + 1) ** 2)
+    den = _float_or_inf((2 * r + 1) ** 2)
     cap = 1.0 / den
     if isinstance(dist, DiscreteLaw):
         values = dist.spectrum.values
         prefix = dist.spectrum.mass_prefix
         idx = int(np.searchsorted(prefix, cap, side="right")) - 1
         if idx < 0:
-            tau1, f1, g1 = -math.inf, 0.0, 0.0
+            # No support value qualifies: the floor is tau2, the support
+            # minimum, plus the general form's G * den = +0 (which turns a
+            # minimum of -0.0 into 0.0); at r past ~6.7e153 den is inf.
             tau2 = float(values[0])
-        else:
-            tau1 = float(values[idx])
-            f1 = float(prefix[idx])
-            g1 = float(dist.spectrum.gain_prefix[idx])
-            tau2 = float(values[min(idx + 1, values.size - 1)])
+            return -math.inf, tau2, 0.0 + tau2
+        tau1 = float(values[idx])
+        f1 = float(prefix[idx])
+        g1 = float(dist.spectrum.gain_prefix[idx])
+        tau2 = float(values[min(idx + 1, values.size - 1)])
         return tau1, tau2, g1 * den + tau2 * (1.0 - f1 * den)
     tau1 = dist.quantile(cap)
     return tau1, tau1, dist.partial_expectation(tau1) * den
@@ -204,6 +218,7 @@ def _floor_reports(
     reports = []
     for r in rounds:
         tau1, tau2, e_floor = _floor_terms(dist, r)
+        r2 = _float_or_inf(r**2)
         reports.append(
             BoundReport(
                 r=r,
@@ -214,7 +229,7 @@ def _floor_reports(
                 quantile_bounds=(
                     quantile_sandwich(r, L)
                     if L is not None
-                    else (0.25 / r**2, math.pi**2 / (16.0 * r**2))
+                    else (0.25 / r2, math.pi**2 / (16.0 * r2))
                 ),
                 min_rounds_exact=min_exact,
                 min_rounds_grover=min_grover,

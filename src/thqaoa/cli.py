@@ -72,6 +72,7 @@ from .dist_models import (
 from .errors import ConfigError, DomainError, ThqaoaError
 from .grover_kernel import (
     POLY_MAX_ROUNDS,
+    _float_or_inf,
     grover_probability,
     grover_probability_poly,
     threshold_ratio,
@@ -360,7 +361,7 @@ def _cmd_pr(cfg: Dict[str, Any]):
             p = grover_probability(rho, r)
             in_poly_domain = r <= POLY_MAX_ROUNDS and rho <= rho_th
             p_poly = grover_probability_poly(rho, r) if in_poly_domain else None
-            eta = min(p / rho, float((2 * r + 1) ** 2))  # p / rho can pass the cap by an ulp
+            eta = min(p / rho, _float_or_inf((2 * r + 1) ** 2))  # p / rho can pass the cap by an ulp
             rows.append((r, rho, rho_th, p, p_poly, eta))
     return ("r", "rho", "rho_th", "p", "p_poly", "eta"), rows
 

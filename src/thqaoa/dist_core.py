@@ -347,7 +347,8 @@ class ContinuousLaw(Distribution):
 
         Each element equals what :meth:`quantile`, :meth:`cdf` and
         :meth:`partial_expectation` return for it, bit for bit, so that a
-        search run on arrays picks the thresholds the scalar search picks.
+        search run on arrays picks the thresholds a search through the
+        scalar queries picks (``tests/oracles.py`` runs one).
         The public ``_vec`` forms promise no such thing: they may use
         numpy's transcendentals.  The caller checks the domain of ``u``.
         """

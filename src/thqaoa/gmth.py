@@ -15,34 +15,34 @@ and the general form otherwise.  Everything else here -- curves, their
 unimodality diagnostics, the threshold optimizer and the exact-optimum
 round count -- is built on that evaluation.
 
-The closed form has two implementations.  :func:`_threshold_objective`
-is the scalar one, built once per (law, r) with ``P(rho, r)`` inlined
-from the kernel's libm calls; it is the reference and the single-r path
-(:func:`expectation_at_threshold`, :func:`optimize_threshold`'s golden
-section).  :func:`_expectations` evaluates the same branches on arrays
-of law terms ``(F(t), G(t))``, each with its own round count, for every
-array caller: :func:`threshold_curve`, the discrete candidate scan, and
-:func:`optimize_thresholds`, which steps the golden-section searches of
-all rounds of a continuous law in lockstep.  Each element equals the
-scalar value for the same terms bit for bit: only correctly rounded
-operations run as numpy array code (``+ - * /``, ``sqrt``, comparisons,
-``where``), while ``asin`` and ``sin`` are :mod:`math`'s, mapped over
-the elements -- numpy's own differ from libm in the last bit on a few
-percent of doubles.  The law terms equal the scalar queries too: a
-discrete law's prefix tables, a continuous law's ``_search_terms``, or
-the scalar ``cdf`` and ``partial_expectation`` themselves.  So every
-curve point equals :func:`expectation_at_threshold`.
+The closed form has one implementation, :func:`_expectations`, which
+evaluates the branches on arrays of law terms ``(F(t), G(t))``, each
+element with its own round count.  Every caller goes through it:
+:func:`expectation_at_threshold` and :func:`threshold_report` with
+one-element arrays, :func:`threshold_curve`, the discrete candidate
+scan, and the threshold search.  Only correctly rounded operations run
+as numpy array code (``+ - * /``, ``sqrt``, comparisons, ``where``),
+while ``asin`` and ``sin`` are :mod:`math`'s, mapped over the elements
+-- numpy's own differ from libm in the last bit on a few percent of
+doubles.  So each element depends on its own terms
+alone, and equals :func:`grover_probability` composed by hand.  The
+law terms equal the scalar queries too: a discrete law's prefix
+tables, a continuous law's ``_search_terms``, or the scalar ``cdf``
+and ``partial_expectation`` themselves.  So every curve point equals
+:func:`expectation_at_threshold`.
 
-The lockstep (:func:`_golden_section_argmin_batch`) steps whole arrays
-while every search is live and carries by index only the last searches,
-whose brackets differ by a few ulps; ``bounds.c_ths`` runs its score
-searches on the same helper.  Every report is assembled by one function,
-:func:`_reports`, from a threshold, its marked mass and its expectation:
-:func:`threshold_report` queries them for its one threshold, and
-:func:`optimize_thresholds` takes them from what its searches already
-hold, querying the law only for each report's ``quantile``.  So
-:func:`optimize_thresholds` returns :func:`optimize_threshold`'s
-reports, bit for bit.
+There is one threshold search, :func:`optimize_thresholds`;
+:func:`optimize_threshold` is a batch of one.  On a continuous law it
+steps the golden-section searches of all rounds in lockstep
+(:func:`_golden_section_argmin_batch`, the package's one golden-section
+loop): whole arrays while every search is live, then by index for the
+last searches, whose brackets differ by a few ulps.  ``bounds.c_ths``
+runs its score searches on the same helper.  Every report is assembled
+by one function, :func:`_reports`, from a threshold, its marked mass
+and its expectation: :func:`threshold_report` queries them for its one
+threshold, and :func:`optimize_thresholds` takes them from what its
+searches already hold, querying the law only for each report's
+``quantile``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 
 from .dist_core import ContinuousLaw, DiscreteLaw, Distribution, _math_map
 from .errors import DomainError
-from .grover_kernel import _check_rounds, _threshold_ratio_any, threshold_ratio
+from .grover_kernel import _check_rounds, _float_or_inf, _threshold_ratio_any, threshold_ratio
 
 __all__ = [
     "ThresholdReport",
@@ -137,38 +137,6 @@ class ThresholdCurve:
         return violations
 
 
-def _threshold_objective(dist: Distribution, r: int) -> Callable[[float], float]:
-    """E_r(t) as a function of the threshold alone, built once per (law, r).
-
-    ``r`` is checked and ``threshold_ratio(r)`` computed here, once; the
-    returned function then evaluates the three branches of
-    :func:`expectation_at_threshold` with ``P(rho, r)`` inlined.  It
-    makes the same ``math.sqrt``/``asin``/``sin`` calls in the same
-    order as :func:`grover_probability`, so its values match the
-    kernel's bit for bit.
-    """
-    r = _check_rounds(r)
-    mu = dist.mean
-    cdf = dist.cdf
-    partial_expectation = dist.partial_expectation
-    rho_th = threshold_ratio(r)
-    k = 2.0 * r + 1.0
-
-    def expectation(t: float) -> float:
-        rho = cdf(t)
-        if rho <= 0.0 or rho >= 1.0:
-            return mu
-        g_y = partial_expectation(t) - mu * rho
-        if rho >= rho_th:
-            return mu + g_y / rho
-        if rho != rho:  # nan passes both tests above; the kernel rejects it
-            raise DomainError(f"amplification requires 0 < rho <= 1, got {rho!r}")
-        s = math.sin(k * math.asin(math.sqrt(rho)))
-        return mu + g_y * (s * s / rho - 1.0) / (1.0 - rho)
-
-    return expectation
-
-
 def expectation_at_threshold(dist: Distribution, r: int, t: float) -> float:
     """Closed-form cost expectation of the thresholded schedule.
 
@@ -178,7 +146,9 @@ def expectation_at_threshold(dist: Distribution, r: int, t: float) -> float:
     ``mu + G_Y(T) * (eta - 1) / (1 - rho)`` with ``eta = P/rho``
     otherwise.
     """
-    return _threshold_objective(dist, r)(t)
+    r = _check_rounds(r)
+    rho, g = np.array([dist.cdf(t)]), np.array([dist.partial_expectation(t)])
+    return float(_expectations(dist.mean, rho, g, threshold_ratio(r), 2.0 * r + 1.0)[0])
 
 
 def threshold_report(dist: Distribution, r: int, t: float) -> ThresholdReport:
@@ -217,8 +187,9 @@ def _reports(
     of this module is assembled here.
     """
     s = _math_map(math.sin, k * _math_map(math.asin, np.sqrt(rho)))
-    p = np.where(rho >= rho_th, 1.0, s * s)
-    cap = np.array([float((2 * r + 1) ** 2) for r in rounds])
+    p = np.where((rho >= rho_th) & (rho > 0.0), 1.0, s * s)  # rho > 0 as in grover_probability
+    # inf where (2r+1)^2 passes the double range, past r ~ 6.7e153
+    cap = np.array([_float_or_inf((2 * r + 1) ** 2) for r in rounds])
     # p / rho can pass the cap by an ulp or two as rho -> 0
     eta = np.minimum(np.divide(p, rho, out=cap.copy(), where=rho > 0.0), cap)
     mu, r_min = dist.mean, dist.r_min
@@ -234,15 +205,16 @@ def _expectations(mu: float, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.nd
     """E_r elementwise from the law terms ``rho = F(t)`` and ``g = G(t)``.
 
     ``rho_th = threshold_ratio(r)`` and ``k = 2r + 1`` are one value or
-    one per element.  The branches and operations of
-    :func:`_threshold_objective`, on arrays, with ``asin`` and ``sin``
-    from :mod:`math`: every element equals the scalar objective for the
-    same ``(rho, g)`` bit for bit, and a nan marked mass raises as the
-    kernel does.  When every element takes the general branch, as in a
-    threshold search, no element is gathered or scattered.
+    one per element.  Every value of the closed form in this module is
+    computed here: the branches of :func:`expectation_at_threshold`, in
+    correctly rounded array arithmetic with ``asin`` and ``sin`` from
+    :mod:`math`, so each element depends on its own ``(rho, g, r)``
+    alone.  A nan marked mass raises as the kernel does.  When every
+    element takes the general branch, as in a threshold search, no
+    element is gathered or scattered.
     """
     boosted = rho >= rho_th  # rho_th < 1, so this holds wherever rho >= 1
-    general = ~((rho <= 0.0) | boosted)  # nan fails both tests, as in the scalar objective
+    general = ~((rho <= 0.0) | boosted)  # nan fails both tests
     every = general.all()
     rg, kg = (rho, k) if every else (rho[general], k[general] if np.ndim(k) else k)
     if np.isnan(rg).any():  # the kernel rejects a nan marked mass
@@ -254,7 +226,8 @@ def _expectations(mu: float, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.nd
         g_y = g - mu * rho
         if every:
             return mu + g_y * (s * s / rho - 1.0) / (1.0 - rho)
-        e = np.where(boosted & (rho < 1.0), mu + g_y / rho, mu)
+        # rho > 0: past r ~ 1e161 threshold_ratio(r) underflows to 0, which a zero mass reaches
+        e = np.where(boosted & (rho > 0.0) & (rho < 1.0), mu + g_y / rho, mu)
         e[general] = mu + g_y[general] * (s * s / rg - 1.0) / (1.0 - rg)
     return e
 
@@ -310,30 +283,6 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
     return ThresholdCurve(r=r, thresholds=ts, f_values=rho, expectations=e, scores=scores)
 
 
-def _golden_section_argmin(
-    value_at: Callable[[float], float], a: float, b: float, tol: float
-) -> Tuple[float, float]:
-    """Golden-section search for the minimizer of a unimodal function.
-
-    Shrinks ``[a, b]`` until it is at most ``tol`` wide and returns the
-    interior point with the smaller value (the left one on ties) together
-    with that value.
-    """
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = value_at(c), value_at(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = value_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = value_at(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 def _optimize_discrete(law: DiscreteLaw, r: int) -> Tuple[float, float, float]:
     """Optimal threshold over a discrete support: ``(t, F(t), E_r(t))``.
 
@@ -342,7 +291,8 @@ def _optimize_discrete(law: DiscreteLaw, r: int) -> Tuple[float, float, float]:
     is every support value with F <= threshold_ratio(r) plus the first
     one beyond.  Ties go to the smallest threshold.  ``F(t)`` is the
     prefix table's entry, which is what ``law.cdf(t)`` returns, and the
-    expectation is the scalar objective's at ``t``, bit for bit.
+    expectation is :func:`expectation_at_threshold`'s at ``t``, bit for
+    bit.
     """
     spectrum = law.spectrum
     rho_th = threshold_ratio(r)
@@ -359,50 +309,24 @@ def _optimize_discrete(law: DiscreteLaw, r: int) -> Tuple[float, float, float]:
     return float(spectrum.values[best]), float(spectrum.mass_prefix[best]), float(e[best])
 
 
-def _optimize_continuous(dist: Distribution, r: int) -> float:
-    """Golden-section search on u = F(t), log-scaled.
-
-    The expectation is unimodal in t, hence in u; the search runs over
-    ``u in [threshold_ratio(r) * 1e-13, threshold_ratio(r)]`` in
-    log-space (the optimum shrinks like 1/r^2, so a relative tolerance
-    is the meaningful one) and the right endpoint -- the smallest
-    certainty threshold -- is compared explicitly.  The objective is
-    built once for the whole search.
-    """
-    expectation = _threshold_objective(dist, r)
-    quantile = dist.quantile
-    rho_th = threshold_ratio(r)
-    hi = math.log(rho_th)
-    lo = hi + math.log(CONTINUOUS_SEARCH_SPAN)
-
-    def value_at(v: float) -> float:
-        return expectation(quantile(math.exp(v)))
-
-    v_best, best_e = _golden_section_argmin(value_at, lo, hi, CONTINUOUS_SEARCH_TOLERANCE)
-    # The search's own winner first, so that ties keep it.
-    best_u = math.exp(v_best)
-    for u in (rho_th, math.exp(lo)):
-        e = expectation(quantile(u))
-        if e < best_e:
-            best_u, best_e = u, e
-    return quantile(best_u)
-
-
 def _golden_section_argmin_batch(
     value_at: Callable[[np.ndarray, Union[slice, np.ndarray]], np.ndarray],
     a: np.ndarray,
     b: np.ndarray,
     tol: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_golden_section_argmin` on arrays of brackets, in lockstep.
+    """Golden-section searches for the minimizers of unimodal functions, in lockstep.
 
     ``value_at(x, idx)`` evaluates the objectives of searches ``idx`` at
-    ``x``.  Every search takes the scalar search's steps -- the same
-    comparisons, ties and points -- and drops out once its bracket is at
-    most ``tol`` wide.  While every search is live the whole arrays are
-    stepped and ``idx`` is ``slice(None)``; brackets that differ by a few
-    ulps can finish a step apart, and that tail steps the live searches
-    by index, gathering and scattering their entries.
+    ``x``.  Each search shrinks its bracket ``[a, b]`` until it is at
+    most ``tol`` wide and returns the interior point with the smaller
+    value (the left one on ties) together with that value.  It takes
+    the steps of a scalar golden-section search of its bracket alone
+    (``tests/oracles.py`` keeps one as the reference): the same
+    comparisons, ties and points.  While every search is live the whole
+    arrays are stepped and ``idx`` is ``slice(None)``; brackets that
+    differ by a few ulps can finish a step apart, and that tail steps
+    the live searches by index, gathering and scattering their entries.
     """
     every = slice(None)
     a, b = a.copy(), b.copy()
@@ -440,17 +364,25 @@ def _golden_section_argmin_batch(
 def _optimize_continuous_batch(
     law: ContinuousLaw, rho_th: np.ndarray, k: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_optimize_continuous` for every round at once.
+    """The continuous threshold search, for every round at once.
 
-    ``rho_th`` and ``k`` hold each round's :func:`_round_terms`.  Returns
-    the winning marked masses ``u`` and their expectations
-    ``E_r(quantile(u))``.
+    The expectation is unimodal in t, hence in the marked mass u = F(t).
+    Each round's search runs over ``u in [threshold_ratio(r) * 1e-13,
+    threshold_ratio(r)]`` in log-space (the optimum shrinks like 1/r^2,
+    so a relative tolerance is the meaningful one), and the right
+    endpoint -- the smallest certainty threshold -- and the left one are
+    compared explicitly.  ``rho_th`` and ``k`` hold each round's
+    :func:`_round_terms`.  Returns the winning marked masses ``u`` and
+    their expectations ``E_r(quantile(u))``.
     """
+    # Every mass tried lies in [u_lo, rho_th], as exp is monotone, and
+    # rho_th <= 1/4: only an underflow leaves the domain, at the lower end
+    # or, past r ~ 1e161, of rho_th itself.
+    if not rho_th.min() > 0.0:
+        law._check_quantile_domain(0.0)
     hi = _math_map(math.log, rho_th)
     lo = hi + math.log(CONTINUOUS_SEARCH_SPAN)
     u_lo = _math_map(math.exp, lo)
-    # Every mass tried lies in [u_lo, rho_th], as exp is monotone, and
-    # rho_th <= 1/4: only an underflow at the lower end leaves the domain.
     outside = u_lo[~(u_lo > 0.0)]
     if outside.size:
         law._check_quantile_domain(float(outside[0]))
@@ -480,22 +412,14 @@ def optimize_threshold(dist: Distribution, r: int) -> ThresholdReport:
     Discrete laws are scanned exhaustively over the candidate support
     values (everything up to the certainty region plus one value
     beyond); continuous laws run a golden-section search on the marked
-    mass, over an objective built once for this r (see the module
-    docstring).  The optimal threshold never exceeds the smallest
-    certainty threshold ``quantile(threshold_ratio(r))``, and its
-    expectation never exceeds the conditional mean below it.
+    mass.  The optimal threshold never exceeds the smallest certainty
+    threshold ``quantile(threshold_ratio(r))``, and its expectation
+    never exceeds the conditional mean below it.
 
-    This is the reference path: :func:`optimize_thresholds` runs the
-    same searches for many r at once on numpy arrays, with libm's
-    transcendentals, and returns these reports bit for bit.  For one r
-    this scalar search is the cheaper of the two.
+    This is :func:`optimize_thresholds` for the one round count: there
+    is one search, whatever the number of rounds.
     """
-    r = _check_rounds(r)
-    if isinstance(dist, DiscreteLaw):
-        t_opt, _, _ = _optimize_discrete(dist, r)
-    else:
-        t_opt = _optimize_continuous(dist, r)
-    return threshold_report(dist, r, t_opt)
+    return optimize_thresholds(dist, [r])[0]
 
 
 def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[ThresholdReport]:
@@ -507,9 +431,11 @@ def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[Thres
     it runs once per round.  The reports are then assembled from what
     the searches hold -- the winning threshold, its marked mass (one
     ``_search_terms`` query of the winning masses, or the prefix table)
-    and its expectation -- with no round rechecked, no objective rebuilt
-    and no ``cdf(t)`` or ``partial_expectation(t)`` queried again.
-    Every report equals ``optimize_threshold(dist, r)`` bit for bit.
+    and its expectation -- with no round rechecked and no ``cdf(t)`` or
+    ``partial_expectation(t)`` queried again.
+    Each report depends on its own round count alone: it is the same
+    in any batch, and equals ``threshold_report(dist, r, t_opt)`` bit
+    for bit.
     """
     rounds = [_check_rounds(r) for r in rounds]
     if not rounds:

@@ -42,6 +42,10 @@ __all__ = [
 #: Largest layer count accepted by the polynomial form (conditioning limit).
 POLY_MAX_ROUNDS = 30
 
+#: Largest round count accepted: the kernel takes 4r + 2 in doubles, which
+#: stays finite up to here.
+_MAX_ROUNDS = 2**1020
+
 
 @dataclass(frozen=True)
 class AngleSchedule:
@@ -68,7 +72,21 @@ class AngleSchedule:
 def _check_rounds(r) -> int:
     if int(r) != r or r < 1:
         raise DomainError(f"round count must be a positive integer, got {r!r}")
+    if r > _MAX_ROUNDS:
+        raise DomainError(f"round count must be at most 2**1020, got {r!r}")
     return int(r)
+
+
+def _float_or_inf(n: int) -> float:
+    """``float(n)`` for an integer ``n >= 0``, and inf where ``float`` raises.
+
+    Caps such as ``(2r + 1)^2`` pass the double range for the largest
+    accepted round counts; inf is the value they round to there.
+    """
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
 
 
 def _threshold_ratio_any(r: int) -> float:
@@ -96,7 +114,8 @@ def grover_probability(rho: float, r: int) -> float:
     r = _check_rounds(r)
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"marked ratio must lie in [0, 1], got {rho!r}")
-    if rho >= _threshold_ratio_any(r):
+    # rho > 0: threshold_ratio(r) underflows to 0 past r ~ 1e161
+    if rho >= _threshold_ratio_any(r) and rho > 0.0:
         return 1.0
     s = math.sin((2.0 * r + 1.0) * math.asin(math.sqrt(rho)))
     return s * s

@@ -5,8 +5,10 @@ quadrature of densities, dense full-space linear algebra, exhaustive
 enumeration, literal subset sums -- so the library's closed forms,
 collapsed representations, and vectorized recurrences are checked
 against slower but structurally simpler computations.  Nothing in this
-module imports the library's numerical routines; only the law classes
-are inspected for their raw parameters.
+module imports the library's numerical routines; the law classes are
+inspected for their raw parameters, and the scalar threshold search
+queries a law's own ``cdf``, ``partial_expectation`` and ``quantile``,
+which the law tests check against the quadratures here.
 """
 
 from __future__ import annotations
@@ -155,6 +157,44 @@ def grover_probability_reference(rho: float, r: int) -> Tuple[float, float]:
         return float(p), float(p / x)
 
 
+# ---------------------------------------------------------------------------
+# Scalar golden-section searches: c_th and the threshold optimum
+# ---------------------------------------------------------------------------
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_argmin(
+    value_at: Callable[[float], float], a: float, b: float, tol: float
+) -> Tuple[float, float]:
+    """Golden-section search for the minimizer of a unimodal function.
+
+    Shrinks ``[a, b]`` until it is at most ``tol`` wide and returns the
+    interior point with the smaller value (the left one on ties) together
+    with that value.  The library steps many such searches in lockstep;
+    each must take this loop's steps.
+    """
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = value_at(c), value_at(d)
+    while (b - a) > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = value_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = value_at(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _threshold_ratio(r: int) -> float:
+    """sin^2(pi / (4r + 2)), the mass r pi-angle rounds boost to 1."""
+    half_angle = math.sin(math.pi / (4.0 * r + 2.0))
+    return half_angle * half_angle
+
+
 def c_th_reference(r: int) -> Tuple[float, float]:
     """``(rho_star, C_Th)`` for one round count, by a scalar golden-section search.
 
@@ -165,8 +205,7 @@ def c_th_reference(r: int) -> Tuple[float, float]:
     1e-13.  ``P`` takes numpy's ``arcsin`` and ``sin`` on a one-element
     array, as fig1's pinned values did.
     """
-    half_angle = math.sin(math.pi / (4.0 * r + 2.0))
-    rho_th = half_angle * half_angle
+    rho_th = _threshold_ratio(r)
     k = 2.0 * r + 1.0
     mass = np.empty(1)
 
@@ -180,23 +219,82 @@ def c_th_reference(r: int) -> Tuple[float, float]:
             p = s * s
         return -((p - rho) / math.sqrt(rho * (1.0 - rho)))
 
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
     b = math.log(rho_th)
-    a = b + math.log(1e-6)
-    c = b - inv_golden * (b - a)
-    d = a + inv_golden * (b - a)
-    fc, fd = value_at(c), value_at(d)
-    while (b - a) > 1e-13:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_golden * (b - a)
-            fc = value_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_golden * (b - a)
-            fd = value_at(d)
-    v, value = (c, fc) if fc <= fd else (d, fd)
+    v, value = golden_section_argmin(value_at, b + math.log(1e-6), b, 1e-13)
     return math.exp(v), -value
+
+
+def threshold_expectation_reference(law, r: int) -> Callable[[float], float]:
+    """E_r(t) of the threshold schedule as a function of t, in Python floats.
+
+    The three branches of the closed form, one threshold at a time:
+    ``mu`` where ``F(t)`` is 0 or 1, the conditional mean
+    ``mu + G_Y/rho`` where ``rho >= threshold_ratio(r)``, and otherwise
+    ``mu + G_Y * (P/rho - 1)/(1 - rho)`` with ``P`` from :mod:`math`'s
+    ``sqrt``, ``asin`` and ``sin``, as the Grover kernel computes it.
+    """
+    mu = law.mean
+    rho_th = _threshold_ratio(r)
+    k = 2.0 * r + 1.0
+
+    def expectation(t: float) -> float:
+        rho = law.cdf(t)
+        if rho <= 0.0 or rho >= 1.0:
+            return mu
+        g_y = law.partial_expectation(t) - mu * rho
+        if rho >= rho_th:
+            return mu + g_y / rho
+        s = math.sin(k * math.asin(math.sqrt(rho)))
+        return mu + g_y * (s * s / rho - 1.0) / (1.0 - rho)
+
+    return expectation
+
+
+def threshold_optimum_reference(law, r: int) -> tuple:
+    """The optimal threshold's scorecard, by a scalar search of one round count.
+
+    The search ``gmth.optimize_threshold`` ran before every threshold
+    search became a batch, in Python floats.  A discrete law scans the
+    support values with ``F <= threshold_ratio(r)`` and the first one
+    beyond, keeping the first minimum.  A continuous law runs
+    :func:`golden_section_argmin` on ``E_r(quantile(exp(v)))`` over the
+    log-mass ``v`` in ``[log(threshold_ratio(r) * 1e-13),
+    log(threshold_ratio(r))]`` to a width of 1e-12, then tries the two
+    ends, which replace the winner only when strictly lower.
+
+    Returns the fields of ``gmth.ThresholdReport`` in order: ``(r, t,
+    t - mu, rho, P, E_r, C_r, quantile, eta, lam)``, each computed at
+    the winning threshold from the law's scalar queries.
+    """
+    expectation = threshold_expectation_reference(law, r)
+    rho_th = _threshold_ratio(r)
+    if hasattr(law, "spectrum"):
+        values = law.spectrum.values.tolist()
+        beyond = int(np.searchsorted(law.spectrum.mass_prefix, rho_th, side="right"))
+        candidates = values[: beyond + 1]
+        scores = [expectation(t) for t in candidates]
+        t = candidates[scores.index(min(scores))]
+    else:
+        hi = math.log(rho_th)
+        lo = hi + math.log(1e-13)
+        v, best_e = golden_section_argmin(
+            lambda v: expectation(law.quantile(math.exp(v))), lo, hi, 1e-12
+        )
+        best_u = math.exp(v)
+        for u in (rho_th, math.exp(lo)):
+            e = expectation(law.quantile(u))
+            if e < best_e:
+                best_u, best_e = u, e
+        t = law.quantile(best_u)
+    mu = law.mean
+    rho = law.cdf(t)
+    e_r = expectation(t)
+    s = math.sin((2.0 * r + 1.0) * math.asin(math.sqrt(rho)))
+    p = 1.0 if rho >= rho_th else s * s
+    cap = float((2 * r + 1) ** 2)
+    eta = min(p / rho, cap) if rho > 0.0 else cap
+    lam = e_r / law.r_min if math.isfinite(law.r_min) and law.r_min != 0.0 else None
+    return (r, t, t - mu, rho, p, e_r, (mu - e_r) / law.std, law.cdf(e_r), eta, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,12 @@ from thqaoa.gmqaoa import (
     simulate,
     threshold_phase,
 )
-from thqaoa.gmth import expectation_at_threshold, optimize_threshold, threshold_curve
+from thqaoa.gmth import (
+    expectation_at_threshold,
+    optimize_threshold,
+    optimize_thresholds,
+    threshold_curve,
+)
 from thqaoa.grover_kernel import (
     AngleSchedule,
     grover_probability,
@@ -209,7 +214,7 @@ def test_criterion_08_heavy_tail_fit_exponents(capsys):
     if eps != 18.0:
         failures.append(f"tail parameter for exponent 0.1 is {eps!r}, expected 18.0")
     law = make_reflected_pareto(eps, 1.0)
-    scores = np.array([optimize_threshold(law, r).C_r for r in range(1, 100_001)])
+    scores = np.array([rep.C_r for rep in optimize_thresholds(law, range(1, 100_001))])
     expected = (0.5087, 0.3222, 0.2301, 0.1834, 0.1570)
     for x, want in zip(range(1, 6), expected):
         n = 10**x

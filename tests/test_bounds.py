@@ -1,6 +1,9 @@
 """Performance bounds: asymptotic slope, score ceilings, floors, envelopes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +98,30 @@ def test_lockstep_c_th_equals_scalar_search_bit_for_bit():
     expected = _hex_pairs(oracles.c_th_reference(r) for r in rounds)
     assert _hex_pairs(c_ths(rounds)) == expected
     assert _hex_pairs(c_th(r) for r in rounds[::37]) == expected[::37]
+
+
+def test_c_th_round_limit():
+    # The largest round count searched finishes and equals the scalar search.
+    limit = bounds.C_TH_MAX_ROUNDS
+    assert _hex_pairs(c_ths([1, limit])) == _hex_pairs(
+        oracles.c_th_reference(r) for r in (1, limit)
+    )
+    # Past it the search could never finish.  Subprocesses with a timeout,
+    # so that a search that does not stop fails the test instead of hanging it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bounds.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    huge = str(10**115)
+    library = subprocess.run(
+        [sys.executable, "-c", f"from thqaoa.bounds import c_th\nc_th({huge})"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert library.returncode == 1 and "DomainError" in library.stderr
+    command = subprocess.run(
+        [sys.executable, "-m", "thqaoa.cli", "cthr", "--r", f"1,{huge}"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert command.returncode == 2 and command.stdout == ""
+    assert command.stderr.startswith("error: ") and command.stderr.count("\n") == 1
 
 
 def test_lockstep_c_th_checks_rounds():

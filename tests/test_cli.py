@@ -451,6 +451,69 @@ def test_empirical_law_whose_variance_overflows_runs(capsys, tmp_path, magnitude
     assert float(report["c_r"]) == 1.0  # one round marks the lower atom with certainty
 
 
+# At r = 10^200 the amplification cap (2r+1)^2 passes the double range and
+# threshold_ratio(r) underflows to 0.  Each command prints its rows, or one
+# error line where a continuous law's quantile would be taken at mass 0.
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["pr", "--rho", "0.01,1e-300"], 0),
+        (["bound", "--dist", "knn:4"], 0),
+        (["bound", "--dist", "binomial:20,0.5"], 0),
+        (["bound", "--dist", "normal:0,1"], 2),
+        (["threshold", "--dist", "binomial:20,0.5"], 0),
+        (["threshold", "--dist", "binomial:20,0.5", "--t", "-1"], 0),
+        (["threshold", "--dist", "normal:0,1", "--t", "-1"], 0),
+        (["threshold", "--dist", "normal:0,1"], 2),
+        (["sweep", "--dist", "binomial:20,0.5"], 0),
+        (["sweep", "--dist", "normal:0,1"], 2),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_round_counts_past_the_double_range(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv, "--r", str(10**200))
+    assert got == code, err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
+    else:
+        assert err == ""
+        header, rows = parse_csv(out)
+        assert rows and not any("nan" in row for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pr", "--rho", "0.5"],
+        ["bound", "--dist", "knn:4"],
+        ["threshold", "--dist", "binomial:20,0.5", "--t", "3"],
+        ["curve", "--dist", "normal:0,1", "--grid", "5"],
+    ],
+    ids=lambda v: v[0],
+)
+def test_round_count_limit(capsys, argv):
+    # 4r + 2 is taken in doubles: it stays finite up to r = 2**1020
+    code, out, err = run_cli(capsys, *argv, "--r", str(2**1020))
+    assert (code, err) == (0, "") and "nan" not in out
+    code, out, err = run_cli(capsys, *argv, "--r", str(2**1020 + 1))
+    assert code == 2 and err.startswith("error: config: round count must be at most 2**1020")
+
+
+def test_floor_and_report_past_the_double_range(capsys):
+    # No class fits the budget 1/(2r+1)^2 = 0: the floor is the support
+    # minimum.  A threshold below the support marks nothing: P = 0, E = mu.
+    r = str(10**200)
+    _, out, _ = run_cli(capsys, "bound", "--dist", "knn:4", "--r", r)
+    header, rows = parse_csv(out)
+    bound = dict(zip(header, rows[0]))
+    assert (bound["tau1"], bound["tau2"], bound["e_floor"]) == ("-inf", "-8.0", "-8.0")
+    _, out, _ = run_cli(capsys, "threshold", "--dist", "binomial:20,0.5", "--t", "-1", "--r", r)
+    header, rows = parse_csv(out)
+    report = dict(zip(header, rows[0]))
+    assert (report["rho"], report["p"], report["e_r"], report["eta"]) == ("0.0", "0.0", "10.0", "inf")
+
+
 @pytest.mark.parametrize("kind", ["max_amplification", "gmth"])
 def test_maxcut_unattainable_ratio_is_an_empty_cell(capsys, kind):
     code, out, err = run_cli(

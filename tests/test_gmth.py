@@ -10,6 +10,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from thqaoa import cli, figures, gmqaoa
 from thqaoa.bounds import c_th
 from thqaoa.dist_models import (
@@ -25,9 +26,7 @@ from thqaoa.errors import DomainError
 from thqaoa.gmth import (
     ThresholdCurve,
     _expectations,
-    _golden_section_argmin,
     _golden_section_argmin_batch,
-    _threshold_objective,
     expectation_at_threshold,
     min_rounds_exact_opt,
     optimize_threshold,
@@ -135,9 +134,9 @@ _CONTINUOUS_LAWS = st.one_of(
 @example(law=make_normal(0.0, 1.0), r=1, branch="general", frac=0.5)
 @settings(max_examples=300, deadline=None)
 def test_public_expectation_is_the_optimizers_objective_bit_for_bit(law, r, branch, frac):
-    # The optimizer evaluates E_r through the objective built once per
-    # (law, r); the public function and the kernel-composed formula must
-    # give the same double in every branch, so the paths cannot drift.
+    # The public function evaluates the optimizer's objective,
+    # _expectations; it and the formula composed from the public kernel
+    # must give the same double in every branch, so the paths cannot drift.
     rho_th = threshold_ratio(r)
     if branch == "edge":  # F(t) = 0 or 1
         t = (-math.inf, math.inf, law.r_max)[min(int(3 * frac), 2)]
@@ -146,10 +145,9 @@ def test_public_expectation_is_the_optimizers_objective_bit_for_bit(law, r, bran
     else:  # 0 < F(t) < threshold_ratio(r)
         t = law.quantile(rho_th * 10.0 ** (-30.0 * frac - 1e-3))
     public = expectation_at_threshold(law, r, t)
-    objective = _threshold_objective(law, r)(t)
     reference, taken = _expectation_from_kernel(law, r, t)
     event(f"branch {taken}")
-    assert public.hex() == objective.hex() == reference.hex(), (branch, taken)
+    assert public.hex() == reference.hex(), (branch, taken)
 
 
 def test_expectation_rejects_nan_marked_mass():
@@ -180,14 +178,14 @@ def _law_terms(draw):
 @settings(max_examples=300, deadline=None)
 def test_array_expectations_equal_scalar_objective_bit_for_bit(mu, terms):
     # Each element takes its own round count; a stand-in law hands the
-    # scalar objective the same (rho, G) at any threshold.
+    # kernel-composed formula the same (rho, G) at any threshold.
     rounds, rho, g = (list(column) for column in zip(*terms))
     rho_th = np.array([threshold_ratio(r) for r in rounds])
     k = np.array([2.0 * r + 1.0 for r in rounds])
     e = _expectations(mu, np.array(rho), np.array(g), rho_th, k)
     for r, rho_i, g_i, e_i in zip(rounds, rho, g, e.tolist()):
         law = SimpleNamespace(mean=mu, cdf=lambda t: rho_i, partial_expectation=lambda t: g_i)
-        assert e_i.hex() == _threshold_objective(law, r)(0.0).hex(), (r, rho_i, g_i)
+        assert e_i.hex() == _expectation_from_kernel(law, r, 0.0)[0].hex(), (r, rho_i, g_i)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +373,8 @@ def test_optimum_score_grows_with_rounds():
     assert all(b > a for a, b in zip(scores, scores[1:]))
 
 
-def _report_bits(report):
-    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
+def _bits(fields):
+    return tuple(v.hex() if isinstance(v, float) else v for v in fields)
 
 
 _FIG2_GRID = figures._log_round_grid(10**6)
@@ -411,9 +409,8 @@ def test_batched_optima_equal_scalar_optima_bit_for_bit(law, rounds):
     # The lockstep search must take every step of the scalar one, so each
     # report field is the same double, not merely a close one.
     batch = optimize_thresholds(law, rounds)
-    assert [_report_bits(rep) for rep in batch] == [
-        _report_bits(optimize_threshold(law, r)) for r in rounds
-    ]
+    expected = {r: _bits(oracles.threshold_optimum_reference(law, r)) for r in set(rounds)}
+    assert [_bits(dataclasses.astuple(rep)) for rep in batch] == [expected[r] for r in rounds]
 
 
 def test_batched_optima_check_rounds_and_masses():
@@ -458,7 +455,7 @@ def test_batch_golden_section_equals_scalar_bit_for_bit(brackets, plateaus, tol)
             y = (x - centre) * (x - centre)
             return float(math.floor(y)) if plateaus else y
 
-        expected.append(tuple(v.hex() for v in _golden_section_argmin(scalar, lo, hi, tol)))
+        expected.append(tuple(v.hex() for v in oracles.golden_section_argmin(scalar, lo, hi, tol)))
     assert [(x.hex(), f.hex()) for x, f in zip(x_batch.tolist(), f_batch.tolist())] == expected
 
 

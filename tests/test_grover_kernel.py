@@ -38,7 +38,7 @@ def test_threshold_ratio_formula_and_monotonicity():
         prev = val
 
 
-@pytest.mark.parametrize("bad", [0, -1, 1.5])
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2**1020 + 1])
 def test_threshold_ratio_rejects_bad_rounds(bad):
     with pytest.raises(DomainError):
         threshold_ratio(bad)
@@ -47,6 +47,14 @@ def test_threshold_ratio_rejects_bad_rounds(bad):
 # ---------------------------------------------------------------------------
 # Probability forms
 # ---------------------------------------------------------------------------
+
+
+def test_probability_where_the_threshold_ratio_underflows():
+    # sin^2(pi / (4r + 2)) rounds to 0 at r = 10^200; a zero mass still stays 0
+    r = 10**200
+    assert threshold_ratio(r) == 0.0
+    assert grover_probability(0.0, r) == 0.0
+    assert grover_probability(5e-324, r) == 1.0
 
 
 def test_probability_branches_and_junction():
