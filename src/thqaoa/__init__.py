@@ -6,7 +6,8 @@ form, what a Grover-mixer schedule can achieve on it:
 
 * :mod:`thqaoa.dist_core` / :mod:`thqaoa.dist_models` -- the
   distribution layer: cdf, partial expectation ``E[X 1{X<=x}]``,
-  quantiles (scalar and vectorized), equal-mass discretization, and the
+  quantiles (scalar, and one array form of each that equals them bit
+  for bit), equal-mass discretization, and the
   concrete families (normal, reflected gamma, binomial, reflected
   Pareto, two-point, empirical).
 * :mod:`thqaoa.grover_kernel` -- the amplitude-amplification kernel:

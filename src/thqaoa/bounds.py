@@ -197,6 +197,8 @@ def _floor_terms(dist: Distribution, r: int) -> Tuple[float, float, float]:
         g1 = float(dist.spectrum.gain_prefix[idx])
         tau2 = float(values[min(idx + 1, values.size - 1)])
         return tau1, tau2, g1 * den + tau2 * (1.0 - f1 * den)
+    if not cap > 0.0:  # (2r+1)**2 passes the double range
+        raise DomainError(f"a continuous law's floor takes round counts up to about 6.7e153; got r = {r}")
     tau1 = dist.quantile(cap)
     return tau1, tau1, dist.partial_expectation(tau1) * den
 
@@ -282,6 +284,8 @@ def simulated_amplification(
 ) -> float:
     """Measured amplification |v_class|^2 / f_class of one cost class
     after simulating the schedule.  The class must carry mass.
+
+    Kept for acceptance criterion 10, which checks the cap with it.
     """
     if not isinstance(dist, DiscreteLaw):
         raise DomainError("amplification measurements need a discrete law")

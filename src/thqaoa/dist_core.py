@@ -2,9 +2,12 @@
 
 This module defines the probability-law interface consumed by every
 formula in the package: the cumulative distribution function ``F``, the
-partial expectation ``G(x) = E[X * 1{X <= x}]`` and quantiles, plus a
-vectorized ``quantile_vec`` for sampling (and, on continuous laws,
-``partial_expectation_vec`` for discretization).
+partial expectation ``G(x) = E[X * 1{X <= x}]`` and quantiles.  Each
+law answers them over arrays in one way only, equal to its scalar
+queries bit for bit: ``quantile_vec`` for quantiles (sampling), and on
+continuous laws ``_search_terms`` for ``(t, F(t), G(t))`` at
+``t = quantile(u)`` (threshold searches, curves and equal-mass
+discretization).
 
 Two families of laws are supported:
 
@@ -143,36 +146,30 @@ class DiscreteSpectrum:
         mass_suffix[0] = 1.0
         return DiscreteSpectrum(v, m, mass_prefix, gain_prefix, mass_suffix)
 
-    @staticmethod
-    def from_multiplicities(values: Sequence[float], multiplicities: Sequence[int]) -> "DiscreteSpectrum":
-        """Build a spectrum from exact integer multiplicities.
-
-        Every finite float is an integer over a power of two, so the
-        values are scaled to integers ``k_i`` over one common power of
-        two ``D`` (:func:`_integer_numerators`).  The prefix sums of
-        counts and of ``k_i * count_i``, and the suffix sums of counts,
-        are then exact Python ints, and each entry is finished by one
-        int/int true division, which CPython rounds correctly.  Every
-        entry is thus the exact rational value rounded once to float64,
-        so even masses around 1e-180 (huge solution-space counts) keep
-        full relative precision.
-        """
-        return _spectrum_from_multiplicities(values, multiplicities)[0]
-
 
 def _spectrum_from_multiplicities(
     values: Sequence[float], multiplicities: Sequence[int]
 ) -> Tuple[DiscreteSpectrum, List[int], List[int], int]:
-    """:meth:`DiscreteSpectrum.from_multiplicities`, also returning the
-    integer counts ``c_i``, the numerators ``k_i`` and the power of two
-    ``D`` with ``values[i] == k_i / D``, so that exact moments need no
-    second pass over the values."""
+    """A spectrum from exact integer multiplicities, with the counts
+    ``c_i``, the numerators ``k_i`` and the power of two ``D`` with
+    ``values[i] == k_i / D``, so that exact moments need no second pass.
+
+    With the values scaled to integers over one power of two
+    (:func:`_integer_numerators`), the prefix sums of counts and of
+    ``k_i * c_i`` and the suffix sums of counts are exact Python ints,
+    and each entry is one int/int true division, which CPython rounds
+    correctly: even masses around 1e-180 (huge solution-space counts)
+    keep full relative precision.  A multiplicity that is not a positive
+    integer, such as 1.5 or nan, raises ``DomainError``.
+    """
     v = np.asarray(values, dtype=np.float64)
-    mults = [int(c) for c in multiplicities]
-    if len(mults) != v.size:
-        raise DomainError("values and multiplicities must have equal length")
-    if any(c <= 0 for c in mults):
-        raise DomainError("multiplicities must be positive integers")
+    try:
+        mults = [int(c) for c in multiplicities]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"multiplicities must be positive integers: {exc}") from None
+    bad = next((m for c, m in zip(mults, multiplicities) if c <= 0 or c != m), None)
+    if bad is not None:
+        raise DomainError(f"multiplicities must be positive integers, got {bad!r}")
     total = sum(mults)
     _validate_support(v, np.ones_like(v))
     scaled, den = _integer_numerators(v)
@@ -222,13 +219,13 @@ class Distribution(ABC):
 
     Concrete laws expose ``mean``, ``std`` (> 0), extended-real support
     bounds ``r_min``/``r_max``, the queries ``cdf``,
-    ``partial_expectation`` and ``quantile``, and ``quantile_vec`` over
-    arrays.  Instances are immutable after construction and safe to
-    share across threads.
+    ``partial_expectation`` and ``quantile``, and ``quantile_vec``, which
+    equals ``quantile`` element for element, bit for bit.  The family is
+    the class: :class:`DiscreteLaw` or :class:`ContinuousLaw`.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
-    #: "discrete" or "continuous"
-    kind: str
     mean: float
     std: float
     r_min: float
@@ -250,7 +247,7 @@ class Distribution(ABC):
 
     @abstractmethod
     def quantile_vec(self, p: np.ndarray) -> np.ndarray:
-        """:meth:`quantile` over an array."""
+        """:meth:`quantile` over a 1-d array, equal to it bit for bit."""
 
     def _check_quantile_domain(self, p: float) -> None:
         if not (0.0 < p < 1.0):
@@ -259,8 +256,6 @@ class Distribution(ABC):
 
 class DiscreteLaw(Distribution):
     """A distribution with finite support backed by a :class:`DiscreteSpectrum`."""
-
-    kind = "discrete"
 
     def __init__(
         self,
@@ -330,27 +325,20 @@ class ContinuousLaw(Distribution):
     """Base class for laws with a density.
 
     Subclasses supply closed-form ``cdf``, ``partial_expectation`` and
-    ``quantile``, the array forms ``quantile_vec`` and
-    ``partial_expectation_vec``, and :meth:`_search_terms` for the
-    threshold optimizer's batch path.
+    ``quantile``, and their one array form of each: ``quantile_vec``
+    and :meth:`_search_terms`.
     """
-
-    kind = "continuous"
-
-    @abstractmethod
-    def partial_expectation_vec(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`partial_expectation` over an array (equal-mass discretization)."""
 
     @abstractmethod
     def _search_terms(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(t, F(t), G(t))`` at ``t = quantile(u)``, for masses ``u`` in (0, 1).
+        """``(t, F(t), G(t))`` at ``t = quantile_vec(u)``, for masses ``u`` in (0, 1).
 
         Each element equals what :meth:`quantile`, :meth:`cdf` and
         :meth:`partial_expectation` return for it, bit for bit, so that a
         search run on arrays picks the thresholds a search through the
-        scalar queries picks (``tests/oracles.py`` runs one).
-        The public ``_vec`` forms promise no such thing: they may use
-        numpy's transcendentals.  The caller checks the domain of ``u``.
+        scalar queries picks (``tests/oracles.py`` runs one), and an
+        equal-mass discretization places the atoms the scalar queries
+        place.  The caller checks the domain of ``u``.
         """
 
     def _check_representable(self) -> None:
@@ -388,16 +376,12 @@ def discretize_equal_mass(dist: Distribution, bins: int = 10_000) -> DiscreteLaw
     uniformly.  Adjacent atoms that collide in float precision are
     merged.
     """
-    if dist.kind != "continuous":
+    if not isinstance(dist, ContinuousLaw):
         raise DomainError("discretize_equal_mass expects a continuous law")
     if bins < 2:
         raise DomainError("bins must be at least 2")
-    probs = np.arange(1, bins) / bins
-    inner_edges = np.asarray(dist.quantile_vec(probs), dtype=np.float64)
-    gains = np.empty(bins + 1, dtype=np.float64)
-    gains[0] = 0.0
-    gains[1:-1] = dist.partial_expectation_vec(inner_edges)
-    gains[-1] = dist.mean
+    _, _, inner_gains = dist._search_terms(np.arange(1, bins) / bins)
+    gains = np.concatenate(([0.0], inner_gains, [dist.mean]))
     values = np.diff(gains) * bins
     masses = np.full(bins, 1.0 / bins)
     # Merge numerically colliding neighbours (possible in extreme tails).

@@ -66,8 +66,9 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MIN_NORMAL = sys.float_info.min
 
-#: Largest binomial trial count: the law holds n + 1 atoms.
-MAX_BINOMIAL_TRIALS = 10**6
+#: Largest binomial trial count: 2**-n, the smallest mass at p = 1/2, is
+#: a double down to n = 1074, and any other p underflows sooner.
+MAX_BINOMIAL_TRIALS = 1074
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +103,6 @@ class NormalLaw(ContinuousLaw):
         return self.u + self.s * float(special.ndtri(p))
 
     # vectorized
-    def partial_expectation_vec(self, x):
-        z = (np.asarray(x, dtype=np.float64) - self.u) / self.s
-        return self.u * special.ndtr(z) - self.s * np.exp(-0.5 * z * z) / _SQRT_2PI
-
     def quantile_vec(self, p):
         return self.u + self.s * special.ndtri(np.asarray(p, dtype=np.float64))
 
@@ -182,26 +179,20 @@ class ReflectedGammaLaw(ContinuousLaw):
         return -float(special.gammainccinv(self.a, p)) / self.b
 
     # vectorized
-    def cdf_vec(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        y = -self.b * np.minimum(x, 0.0)
-        f = np.where(x >= 0.0, 1.0, special.gammaincc(self.a, y))
-        underflow = (x < 0.0) & (y < _MIN_NORMAL)
-        if np.any(underflow):
-            f[underflow] = [self._cdf_underflow(v) for v in x[underflow].tolist()]
-        return f
-
-    def partial_expectation_vec(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        g = -(self.a / self.b) * special.gammaincc(self.a + 1.0, -self.b * np.minimum(x, 0.0))
-        return np.where(x >= 0.0, self.mean, g)
-
     def quantile_vec(self, p):
         return -special.gammainccinv(self.a, np.asarray(p, dtype=np.float64)) / self.b
 
     def _search_terms(self, u):
         t = self.quantile_vec(u)
-        return t, self.cdf_vec(t), self.partial_expectation_vec(t)
+        inside = ~(t >= 0.0)
+        y = -self.b * t[inside]
+        f = np.ones_like(t)
+        f[inside] = special.gammaincc(self.a, y)
+        underflow = np.flatnonzero(inside)[y < _MIN_NORMAL]
+        f[underflow] = [self._cdf_underflow(x) for x in t[underflow].tolist()]
+        g = np.full_like(t, self.mean)
+        g[inside] = -(self.a / self.b) * special.gammaincc(self.a + 1.0, y)
+        return t, f, g
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +205,9 @@ class BinomialLaw(DiscreteLaw):
 
     Masses are computed in log space (gammaln-based) and exponentiated,
     which keeps full relative precision even in the far tails at
-    n = 200 where masses reach ~1e-61.
+    n = 200 where masses reach ~1e-61.  A mass that underflows to 0
+    raises ``DomainError``: dropping the atom would move the support
+    minimum.
     """
 
     def __init__(self, n: int, p: float):
@@ -237,6 +230,11 @@ class BinomialLaw(DiscreteLaw):
             + (self.n - k) * math.log1p(-self.p)
         )
         masses = np.exp(log_pmf)
+        empty = np.flatnonzero(~(masses > 0.0))
+        if empty.size:
+            raise DomainError(
+                f"binomial law with n={self.n}, p={self.p!r}: the mass at k={empty[0]} underflows to 0"
+            )
         spectrum = DiscreteSpectrum.from_masses(k, masses)
         super().__init__(
             spectrum,
@@ -286,18 +284,12 @@ class ReflectedParetoLaw(ContinuousLaw):
         return -self.x_m * p ** (-1.0 / self.alpha)
 
     # vectorized
-    def partial_expectation_vec(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        inside = np.minimum(x, -self.x_m)
-        g = -(self.alpha / (self.alpha - 1.0)) * self.x_m**self.alpha * (-inside) ** (-(self.alpha - 1.0))
-        return np.where(x >= -self.x_m, self.mean, g)
-
     def quantile_vec(self, p):
-        return -self.x_m * np.asarray(p, dtype=np.float64) ** (-1.0 / self.alpha)
+        # math.pow is the libm pow that the scalar methods' ``**`` calls
+        return -self.x_m * _math_map(math.pow, np.asarray(p, dtype=np.float64), repeat(-1.0 / self.alpha))
 
     def _search_terms(self, u):
-        # math.pow is the libm pow that the scalar methods' ``**`` calls
-        t = -self.x_m * _math_map(math.pow, u, repeat(-1.0 / self.alpha))
+        t = self.quantile_vec(u)
         f = np.ones_like(t)
         g = np.full_like(t, self.mean)
         inside = ~(t >= -self.x_m)
@@ -414,7 +406,11 @@ def empirical_from_file(path: str) -> EmpiricalLaw:
                 continue
             if len(row) != 2:
                 raise DomainError(f"{path}:{lineno}: expected 'value,multiplicity', got {row!r}")
-            pairs.append((float(row[0]), int(row[1])))
+            try:
+                pairs.append((float(row[0]), int(row[1])))
+            except ValueError:
+                msg = f"{path}:{lineno}: expected a number and an integer count, got {row!r}"
+                raise DomainError(msg) from None
     return EmpiricalLaw(pairs)
 
 

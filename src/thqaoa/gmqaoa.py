@@ -148,7 +148,10 @@ def simulate(dist: Distribution, q: PhaseFunction, angles: AngleSchedule) -> Col
 
 
 def expectation_from_state(state: CollapsedState) -> float:
-    """<psi| H_C |psi> = sum_i x_i |v_i|^2."""
+    """<psi| H_C |psi> = sum_i x_i |v_i|^2.
+
+    Kept for acceptance criteria 04 and 05: the simulator's expectation.
+    """
     return float(np.dot(state.classes, state.probabilities()))
 
 
@@ -180,6 +183,8 @@ def expectation_pair_sum(dist: Distribution, angles: AngleSchedule) -> float:
     simulator's O(r n) -- with O(r n) memory.  The imaginary residue of
     the total must stay below 1e-9 times the law's scale
     ``sqrt(E[X^2]) >= |phi'|``, or below 1e-9 when that scale is under 1.
+
+    Kept for acceptance criterion 05, which checks it against the simulator.
     """
     phi = getattr(dist, "characteristic_function", None)
     phid = getattr(dist, "characteristic_derivative", None)

@@ -27,8 +27,9 @@ while ``asin`` and ``sin`` are :mod:`math`'s, mapped over the elements
 doubles.  So each element depends on its own terms
 alone, and equals :func:`grover_probability` composed by hand.  The
 law terms equal the scalar queries too: a discrete law's prefix
-tables, a continuous law's ``_search_terms``, or the scalar ``cdf``
-and ``partial_expectation`` themselves.  So every curve point equals
+tables, a continuous law's ``_search_terms`` (its one array query for
+``F`` and ``G``), or the scalar ``cdf`` and ``partial_expectation``
+themselves.  So every curve point equals
 :func:`expectation_at_threshold`.
 
 There is one threshold search, :func:`optimize_thresholds`;
@@ -362,7 +363,7 @@ def _golden_section_argmin_batch(
 
 
 def _optimize_continuous_batch(
-    law: ContinuousLaw, rho_th: np.ndarray, k: np.ndarray
+    law: ContinuousLaw, rounds: List[int], rho_th: np.ndarray, k: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The continuous threshold search, for every round at once.
 
@@ -371,21 +372,24 @@ def _optimize_continuous_batch(
     threshold_ratio(r)]`` in log-space (the optimum shrinks like 1/r^2,
     so a relative tolerance is the meaningful one), and the right
     endpoint -- the smallest certainty threshold -- and the left one are
-    compared explicitly.  ``rho_th`` and ``k`` hold each round's
-    :func:`_round_terms`.  Returns the winning marked masses ``u`` and
-    their expectations ``E_r(quantile(u))``.
+    compared explicitly.  ``rho_th`` and ``k`` hold the :func:`_round_terms`
+    of the checked ``rounds``.  Returns the winning marked masses ``u``
+    and their expectations ``E_r(quantile(u))``.
     """
     # Every mass tried lies in [u_lo, rho_th], as exp is monotone, and
     # rho_th <= 1/4: only an underflow leaves the domain, at the lower end
-    # or, past r ~ 1e161, of rho_th itself.
-    if not rho_th.min() > 0.0:
-        law._check_quantile_domain(0.0)
+    # (past r ~ 1.6e155) or, past r ~ 1e161, of rho_th itself.
+    def check_range(masses: np.ndarray) -> None:
+        empty = np.flatnonzero(~(masses > 0.0))
+        if empty.size:
+            raise DomainError(f"the continuous threshold search takes round counts up to about "
+                              f"1.6e155; got r = {rounds[empty[0]]}")
+
+    check_range(rho_th)
     hi = _math_map(math.log, rho_th)
     lo = hi + math.log(CONTINUOUS_SEARCH_SPAN)
     u_lo = _math_map(math.exp, lo)
-    outside = u_lo[~(u_lo > 0.0)]
-    if outside.size:
-        law._check_quantile_domain(float(outside[0]))
+    check_range(u_lo)
     mu = law.mean
 
     def e_at(u: np.ndarray, idx: Union[slice, np.ndarray]) -> np.ndarray:
@@ -444,7 +448,7 @@ def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[Thres
     if isinstance(dist, DiscreteLaw):
         t, rho, e_r = np.array([_optimize_discrete(dist, r) for r in rounds]).T
     else:
-        u, e_r = _optimize_continuous_batch(dist, rho_th, k)
+        u, e_r = _optimize_continuous_batch(dist, rounds, rho_th, k)
         t, rho, _ = dist._search_terms(u)
     return _reports(dist, rounds, rho_th, k, t, rho, e_r)
 

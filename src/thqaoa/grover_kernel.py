@@ -185,6 +185,8 @@ def optimal_binary_angles(rho: float, r: int) -> AngleSchedule:
     the unique choice (up to conjugation) making the mixer cancel the
     unmarked amplitude entirely.  For r = 1 this reduces to
     beta = -gamma = atan2(-sqrt(4 rho - 1), 2 rho - 1).
+
+    Kept for acceptance criterion 04, which simulates its schedule.
     """
     r = _check_rounds(r)
     if not (0.0 < rho < 1.0):

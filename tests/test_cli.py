@@ -467,6 +467,8 @@ def test_empirical_law_whose_variance_overflows_runs(capsys, tmp_path, magnitude
         (["threshold", "--dist", "normal:0,1"], 2),
         (["sweep", "--dist", "binomial:20,0.5"], 0),
         (["sweep", "--dist", "normal:0,1"], 2),
+        (["sweep", "--dist", "gamma:1,1"], 2),
+        (["bound", "--dist", "pareto:1,1"], 2),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )
@@ -475,6 +477,7 @@ def test_round_counts_past_the_double_range(capsys, argv, code):
     assert got == code, err
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"r = {10**200}" in err  # the message names the round count
         assert out == ""
     else:
         assert err == ""

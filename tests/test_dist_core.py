@@ -70,14 +70,12 @@ def test_spectrum_rejects_bad_input():
     with pytest.raises(DomainError):
         DiscreteSpectrum.from_masses([0.0, 1.0], [0.7, 0.7])  # mass sum != 1
     with pytest.raises(DomainError):
-        DiscreteSpectrum.from_multiplicities([0.0, 1.0], [3, 0])  # zero count
-    with pytest.raises(DomainError):
-        DiscreteSpectrum.from_multiplicities([0.0], [1, 2])  # length mismatch
+        make_empirical([(0.0, 3), (1.0, 0)])  # zero count
 
 
 def test_from_multiplicities_huge_counts_keep_relative_precision():
     big = 10**180
-    spec = DiscreteSpectrum.from_multiplicities([-1.0, 0.0, 1.0], [2, big, 2])
+    spec = make_empirical([(-1.0, 2), (0.0, big), (1.0, 2)]).spectrum
     assert spec.masses[0] == pytest.approx(2.0 / (big + 4), rel=1e-15)
     assert spec.mass_prefix[-1] == 1.0
 
@@ -161,6 +159,22 @@ def test_discretize_equal_mass_normal(bins):
     assert disc.mean == pytest.approx(law.mean, abs=1e-9)
     # discretization can only shrink spread
     assert disc.std <= law.std + 1e-12
+
+
+@pytest.mark.parametrize(
+    "law",
+    [make_normal(2.0, 1.5), make_reflected_gamma(2.5, 0.7), make_reflected_pareto(0.5, 1.5)],
+    ids=lambda l: type(l).__name__,
+)
+def test_discretize_equal_mass_atoms_equal_scalar_queries_bit_for_bit(law):
+    # v_i = bins * (G(e_{i+1}) - G(e_i)) with the edges e_i = quantile(i / bins)
+    bins = 10_000
+    edges = [law.quantile(i / bins) for i in range(1, bins)]
+    gains = [0.0] + [law.partial_expectation(e) for e in edges] + [law.mean]
+    atoms = [(g1 - g0) * bins for g0, g1 in zip(gains, gains[1:])]
+    assert all(a < b for a, b in zip(atoms, atoms[1:]))  # no neighbours merged
+    disc = discretize_equal_mass(law, bins)
+    assert [v.hex() for v in disc.spectrum.values.tolist()] == [a.hex() for a in atoms]
 
 
 def test_discretize_equal_mass_validation():

@@ -88,11 +88,21 @@ def test_reflected_gamma_cdf_where_rate_times_x_underflows(x):
     import mpmath
 
     law = make_reflected_gamma(0.005, 0.5)
-    with mpmath.workprec(200):
-        y = mpmath.mpf(law.b) * mpmath.mpf(-x)
-        exact = float(1 - mpmath.gammainc(mpmath.mpf(law.a), 0, y, regularized=True))
-    assert law.cdf(x) == pytest.approx(exact, rel=1e-15, abs=0.0)
-    assert law.cdf_vec(np.array([x, -1.0]))[0].hex() == law.cdf(x).hex()
+
+    def exact(x):
+        with mpmath.workprec(200):
+            y = mpmath.mpf(law.b) * mpmath.mpf(-x)
+            return float(1 - mpmath.gammainc(mpmath.mpf(law.a), 0, y, regularized=True))
+
+    assert law.cdf(x) == pytest.approx(exact(x), rel=1e-15, abs=0.0)
+    # The array path, beside a mass whose b*|t| does not underflow: the
+    # next mass below F(x) has its quantile in the same region (F(x) itself
+    # can map to -0.0 at x = -5e-324, where b*|t| is 0 only by rounding).
+    u = np.array([math.nextafter(law.cdf(x), 0.0), 0.5])
+    t, f, _ = law._search_terms(u)
+    assert 0.0 < -law.b * t[0] < sys.float_info.min <= -law.b * t[1]
+    assert f[0] == pytest.approx(exact(t[0]), rel=1e-15, abs=0.0)
+    assert [v.hex() for v in f.tolist()] == [law.cdf(v).hex() for v in t.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +213,12 @@ def test_random_law_bit_identical_to_fraction_oracle(kind, seed):
     rng = np.random.default_rng(seed)
     values, counts = _random_law(rng, kind)
     ref = oracles.fraction_spectrum(values, counts)
-    _assert_spectrum_matches_fraction_oracle(
-        DiscreteSpectrum.from_multiplicities(values, counts), ref
-    )
-    if kind == "spread":
-        # squares of values up to 1e300 overflow a float variance; the
-        # spectrum arrays above are the whole check for this family
-        return
     law = make_empirical(zip(values, counts))
     _assert_spectrum_matches_fraction_oracle(law.spectrum, ref)
+    if kind == "spread":
+        # squares of values up to 1e300 overflow the oracle's float
+        # variance; the spectrum arrays above are the whole check here
+        return
     assert law.mean == float(ref["mean"])
     assert law.std == math.sqrt(float(ref["var"]))
 
@@ -236,10 +243,11 @@ def test_empirical_from_file_roundtrip(tmp_path):
 
 def test_empirical_from_file_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("-2.0,1\noops\n")
-    with pytest.raises(DomainError) as err:
-        empirical_from_file(str(path))
-    assert ":2:" in str(err.value)
+    for line in ("oops", "abc,3", "0,1.5", "0,nan", "1,2,3"):
+        path.write_text(f"-2.0,1\n{line}\n")
+        with pytest.raises(DomainError) as err:
+            empirical_from_file(str(path))
+        assert f"{path}:2:" in str(err.value), line
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +275,25 @@ def test_empirical_from_file_reports_line(tmp_path):
         (make_binomial, (math.nan, 0.5)),
         (make_binomial, (math.inf, 0.5)),
         (make_binomial, (MAX_BINOMIAL_TRIALS + 1, 0.5)),  # rejected before allocating
+        (make_binomial, (200, 0.001)),  # the masses from k = 127 on underflow
+        (make_binomial, (MAX_BINOMIAL_TRIALS, 0.4)),  # 0.4**1074 underflows
+        (make_empirical, ([(0.0, 1.5), (1.0, 2)],)),  # would truncate to 1
+        (make_empirical, ([(0.0, math.nan), (1.0, 2)],)),
+        (make_empirical, ([(0.0, math.inf), (1.0, 2)],)),
+        (make_empirical, ([(0.0, "3"), (1.0, 2)],)),
     ],
 )
 def test_factory_domain_validation(factory, args):
     with pytest.raises(DomainError):
         factory(*args)
+
+
+def test_binomial_trial_cap_is_where_the_masses_underflow():
+    # at p = 1/2 the smallest mass is 2**-n, a double down to n = 1074
+    law = make_binomial(MAX_BINOMIAL_TRIALS, 0.5)
+    assert law.spectrum.masses[0] == law.spectrum.masses[-1] == 2.0**-1074
+    with pytest.raises(DomainError, match=r"n=200, p=0\.001: the mass at k=127 underflows"):
+        make_binomial(200, 0.001)
 
 
 def test_wide_support_is_checked_without_overflow_warnings():

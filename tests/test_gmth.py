@@ -419,9 +419,10 @@ def test_batched_optima_check_rounds_and_masses():
     for rounds in ([3, 0], [2.5], [1, -4]):
         with pytest.raises(DomainError, match="round count"):
             optimize_thresholds(law, rounds)
-    # exp of the search's lower end underflows to 0, outside the quantile's domain
-    with pytest.raises(DomainError, match="quantile probability"):
-        optimize_thresholds(law, [10**160])
+    # exp of the search's lower end underflows to 0, outside the quantile's
+    # domain: the message names the search's limit and the round count
+    with pytest.raises(DomainError, match=f"up to about 1.6e155; got r = {10**160}$"):
+        optimize_thresholds(law, [1, 10**160])
 
 
 _BRACKETS = st.lists(
@@ -465,12 +466,14 @@ def test_search_terms_equal_scalar_queries_bit_for_bit(law, exponents):
     u = 10.0 ** np.array(exponents)
     u = u[(u > 0.0) & (u < 1.0)]
     t, f, g = law._search_terms(u)
-    for ui, ti, fi, gi in zip(u.tolist(), t.tolist(), f.tolist(), g.tolist()):
+    q = law.quantile_vec(u)
+    for ui, ti, fi, gi, qi in zip(u.tolist(), t.tolist(), f.tolist(), g.tolist(), q.tolist()):
         tq = law.quantile(ui)
-        assert (ti.hex(), fi.hex(), gi.hex()) == (
+        assert (ti.hex(), fi.hex(), gi.hex(), qi.hex()) == (
             tq.hex(),
             law.cdf(tq).hex(),
             law.partial_expectation(tq).hex(),
+            tq.hex(),
         ), ui
 
 

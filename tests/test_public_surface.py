@@ -94,3 +94,38 @@ def test_package_exports_are_their_modules_exports():
         assert name in home, f"thqaoa.__all__ lists {name!r}, which no module import provides"
         module = importlib.import_module(f"thqaoa.{home[name]}")
         assert name in module.__all__, f"{name!r} is exported by thqaoa but not by {module.__name__}"
+
+
+def _module_all(tree):
+    """The names a module's ``__all__`` assignments list."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                names += ast.literal_eval(node.value)
+    return names
+
+
+def test_every_import_is_used():
+    # A removal that leaves its import behind fails here.  A name the
+    # module lists in __all__ counts as used: it is re-exported.
+    package = os.path.dirname(os.path.abspath(thqaoa.__file__))
+    unused = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename)) as fh:
+            tree = ast.parse(fh.read())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(_module_all(tree))
+        unused += [f"{filename}:{line}: {name}" for name, line in bound.items() if name not in used]
+    assert not unused, f"imported but never used: {unused}"
