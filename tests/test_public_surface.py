@@ -97,14 +97,11 @@ def test_package_exports_are_their_modules_exports():
 
 
 def _module_all(tree):
-    """The names a module's ``__all__`` assignments list."""
-    names = []
+    """The names a module's ``__all__ = [...]`` lists."""
     for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                names += ast.literal_eval(node.value)
-    return names
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def test_every_import_is_used():
