@@ -115,6 +115,7 @@ from .maxcut import (
     complete_bipartite_instance,
     knn_spectrum,
     min_rounds_for_ratio,
+    min_rounds_for_ratios,
     read_edge_list,
 )
 
@@ -192,6 +193,7 @@ __all__ = [
     "complete_bipartite_instance",
     "read_edge_list",
     "min_rounds_for_ratio",
+    "min_rounds_for_ratios",
     # classical baseline
     "crs_blom",
     "crs_expected_min",

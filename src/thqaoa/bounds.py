@@ -11,8 +11,11 @@ Contents:
 * :func:`max_amplification_floor` -- the expectation floor obtained by
   granting every low-cost state the maximal amplification ``(2r+1)^2``.
   Its report also carries the universal score cap ``2 sqrt(r(r+1))``.
-  Its per-r core ``_floor_terms`` serves round searches that need the
-  floor alone, without the law-constant round counts of the report.
+  Its array core ``_floor_terms`` takes many round counts in one pass
+  (one ``searchsorted`` over the caps ``1/(2r+1)^2`` on a discrete law,
+  one ``_search_terms`` call on a continuous one); it serves the
+  reports, fig7, and the K_{n,n} round searches, which step the floors
+  of many laws at once and need no more than the floor.
 * :func:`grover_based_min_rounds_exact` -- rounds needed before the
   optimum can even be measured with probability 1.
 * :func:`quantile_sandwich` -- the asymptotic two-sided envelope of the
@@ -26,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dist_core import DiscreteLaw, Distribution, _math_map
+from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum, Distribution, _math_map
 from .dist_models import EmpiricalLaw
 from .errors import DomainError
 from .gmqaoa import PhaseFunction, simulate
@@ -169,38 +172,61 @@ def max_amplification_floor(
     factors ``(1/(4r^2), pi^2/(16 r^2))``.
 
     This wrapper adds the two round counts that depend on the law alone
-    to the per-r terms of :func:`_floor_terms`.  Callers that scan many
-    r and need only ``E_floor`` call that core directly; callers that
-    need whole reports for many r use :func:`_floor_reports`, which
-    computes the round counts once.
+    to the terms of :func:`_floor_terms`.  Callers that scan many r and
+    need only ``E_floor`` call that core directly; callers that need
+    whole reports for many r use :func:`_floor_reports`, which computes
+    the round counts once.
     """
     return _floor_reports(dist, [r], L)[0]
 
 
-def _floor_terms(dist: Distribution, r: int) -> Tuple[float, float, float]:
-    """Per-r core of :func:`max_amplification_floor`: ``(tau1, tau2, E_floor)``."""
-    r = _check_rounds(r)
-    den = _float_or_inf((2 * r + 1) ** 2)
+def _floor_terms(
+    dist: Union[Distribution, Sequence[DiscreteSpectrum]], rounds: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tau1, tau2, E_floor)`` of :func:`max_amplification_floor`, one element per round count.
+
+    ``dist`` is one law for every round count, or one discrete spectrum
+    per round count (the K_{n,n} round searches step many laws at
+    once).  Each element equals the scalar formula of the docstring
+    above in Python floats, bit for bit: a discrete law's ``tau1`` comes
+    from a ``searchsorted`` of its prefix table at the cap
+    ``1/(2r+1)^2``, a continuous law's from one ``_search_terms`` call,
+    which equals its ``quantile`` and ``partial_expectation``.
+    """
+    rounds = [_check_rounds(r) for r in rounds]
+    # inf where (2r+1)**2 passes the double range, past r ~ 6.7e153; the cap is 0 there
+    den = np.array([_float_or_inf((2 * r + 1) ** 2) for r in rounds], dtype=np.float64)
     cap = 1.0 / den
+    if isinstance(dist, ContinuousLaw):
+        empty = np.flatnonzero(~(cap > 0.0))
+        if empty.size:
+            raise DomainError(
+                f"a continuous law's floor takes round counts up to about 6.7e153; got r = {rounds[empty[0]]}"
+            )
+        tau1, _, g1 = dist._search_terms(cap)
+        return tau1, tau1.copy(), g1 * den
     if isinstance(dist, DiscreteLaw):
-        values = dist.spectrum.values
-        prefix = dist.spectrum.mass_prefix
-        idx = int(np.searchsorted(prefix, cap, side="right")) - 1
-        if idx < 0:
-            # No support value qualifies: the floor is tau2, the support
-            # minimum, plus the general form's G * den = +0 (which turns a
-            # minimum of -0.0 into 0.0); at r past ~6.7e153 den is inf.
-            tau2 = float(values[0])
-            return -math.inf, tau2, 0.0 + tau2
-        tau1 = float(values[idx])
-        f1 = float(prefix[idx])
-        g1 = float(dist.spectrum.gain_prefix[idx])
-        tau2 = float(values[min(idx + 1, values.size - 1)])
-        return tau1, tau2, g1 * den + tau2 * (1.0 - f1 * den)
-    if not cap > 0.0:  # (2r+1)**2 passes the double range
-        raise DomainError(f"a continuous law's floor takes round counts up to about 6.7e153; got r = {r}")
-    tau1 = dist.quantile(cap)
-    return tau1, tau1, dist.partial_expectation(tau1) * den
+        spectrum = dist.spectrum
+        last = np.searchsorted(spectrum.mass_prefix, cap, side="right") - 1
+        at = np.maximum(last, 0)
+        tau1, f1, g1 = spectrum.values[at], spectrum.mass_prefix[at], spectrum.gain_prefix[at]
+        tau2 = spectrum.values[np.minimum(last + 1, spectrum.values.size - 1)]
+    else:
+        rows = []
+        for spectrum, c in zip(dist, cap.tolist()):
+            i = int(spectrum.mass_prefix.searchsorted(c, side="right")) - 1
+            at, beyond = max(i, 0), min(i + 1, spectrum.values.size - 1)
+            rows.append((i, spectrum.values.item(at), spectrum.mass_prefix.item(at),
+                         spectrum.gain_prefix.item(at), spectrum.values.item(beyond)))
+        last, tau1, f1, g1, tau2 = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    # Where no support value qualifies, the floor is tau2, the support
+    # minimum, plus the general form's G * den = +0 (which turns a minimum
+    # of -0.0 into 0.0); den = inf there gives 0 * inf, so the general
+    # form is silent, as Python floats are, and discarded.
+    none = last < 0
+    with np.errstate(all="ignore"):
+        e_floor = np.where(none, 0.0 + tau2, g1 * den + tau2 * (1.0 - f1 * den))
+    return np.where(none, -math.inf, tau1), tau2, e_floor
 
 
 def _floor_reports(
@@ -217,9 +243,9 @@ def _floor_reports(
         min_grover: Optional[int] = _grover_min_rounds_of_law(dist)
     else:
         min_exact = min_grover = None
+    columns = (column.tolist() for column in _floor_terms(dist, rounds))
     reports = []
-    for r in rounds:
-        tau1, tau2, e_floor = _floor_terms(dist, r)
+    for r, tau1, tau2, e_floor in zip(rounds, *columns):
         r2 = _float_or_inf(r**2)
         reports.append(
             BoundReport(

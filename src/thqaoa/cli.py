@@ -480,12 +480,15 @@ def _cmd_maxcut(cfg: Dict[str, Any]):
                 raise ConfigError(f"--n-range expects integers, got {n_range!r}") from None
             if n_lo > n_hi:
                 raise ConfigError(f"--n-range must be ascending, got {n_range!r}")
-            n_values: Sequence[int] = range(n_lo, n_hi + 1)
+            if n_lo < 1 or n_hi > maxcut.MAX_PART_SIZE:
+                raise ConfigError(f"--n-range must lie within 1,{maxcut.MAX_PART_SIZE}, got {n_range!r}")
+            n_values = range(n_lo, n_hi + 1)
+            rounds = maxcut.min_rounds_for_ratios([(n, lam) for n in n_values], bound_kind)
+            rows = [(n, lam, bound_kind, r) for n, r in zip(n_values, rounds)]
         elif cfg["n"] is not None:
-            n_values = [cfg["n"]]
+            rows = [(cfg["n"], lam, bound_kind, maxcut.min_rounds_for_ratio(cfg["n"], lam, bound_kind))]
         else:
             raise ConfigError("minimum-round search needs --n or --n-range")
-        rows = [(n, lam, bound_kind, maxcut.min_rounds_for_ratio(n, lam, bound_kind)) for n in n_values]
         return ("n", "lam", "bound_kind", "r"), rows
     if cfg["n_range"] is not None:
         raise ConfigError("--n-range sweeps the --lam round search; spectrum mode takes --n or --graph")

@@ -30,7 +30,7 @@ import math
 import sys
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -398,8 +398,10 @@ def make_empirical(pairs: Iterable[Tuple[float, int]]) -> EmpiricalLaw:
 
 def empirical_from_file(path: str) -> EmpiricalLaw:
     """Read an empirical law from a two-column ``value,multiplicity``
-    text file (one pair per line, ascending values)."""
-    pairs = []
+    text file (one pair per line, strictly ascending finite values,
+    positive integer multiplicities).  A bad row is rejected with its
+    ``path:line``."""
+    pairs: List[Tuple[float, int]] = []
     with open(path, "r", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -407,10 +409,20 @@ def empirical_from_file(path: str) -> EmpiricalLaw:
             if len(row) != 2:
                 raise DomainError(f"{path}:{lineno}: expected 'value,multiplicity', got {row!r}")
             try:
-                pairs.append((float(row[0]), int(row[1])))
+                value, count = float(row[0]), int(row[1])
             except ValueError:
                 msg = f"{path}:{lineno}: expected a number and an integer count, got {row!r}"
                 raise DomainError(msg) from None
+            if not math.isfinite(value):
+                problem = "support values must be finite"
+            elif count <= 0:
+                problem = "multiplicities must be positive integers"
+            elif pairs and value <= pairs[-1][0]:
+                problem = "support values must be strictly ascending"
+            else:
+                pairs.append((value, count))
+                continue
+            raise DomainError(f"{path}:{lineno}: {problem}, got {row!r}")
     return EmpiricalLaw(pairs)
 
 

@@ -264,13 +264,10 @@ def fig6_rows(resolution: int = 2000) -> Tuple[Header, List[Row]]:
 
 
 def fig7_rows() -> Tuple[Header, List[Row]]:
-    law = maxcut.knn_spectrum(50, frame="y")
-    n_sq = 50.0 * 50.0
-    rows: List[Row] = []
-    for r in round_grid_pow2(100, 5000):
-        _, _, e_floor = bounds._floor_terms(law, r)
-        rows.append((r, e_floor, 0.5 - e_floor / n_sq))
-    return ("r", "e_floor", "lam"), rows
+    rounds = round_grid_pow2(100, 5000)
+    _, _, e_floor = bounds._floor_terms(maxcut.knn_spectrum(50, frame="y"), rounds)
+    lam = 0.5 - e_floor / (50.0 * 50.0)
+    return ("r", "e_floor", "lam"), list(zip(rounds, e_floor.tolist(), lam.tolist()))
 
 
 def fig8_rows() -> Tuple[Header, List[Row]]:
@@ -293,16 +290,10 @@ _FIG9_PANELS = (
 
 
 def fig9_rows(bound_kind: str = "max_amplification") -> Tuple[Header, List[Row]]:
-    # One exact law per part size serves every panel and ratio at that size.
-    panel_rows: List[List[Row]] = [[] for _ in _FIG9_PANELS]
-    n_lo = min(panel[2] for panel in _FIG9_PANELS)
-    n_hi = max(panel[3] for panel in _FIG9_PANELS)
-    for n in range(n_lo, n_hi + 1):
-        law = maxcut.knn_spectrum(n, frame="y")
-        for rows, (panel, lam, lo, hi) in zip(panel_rows, _FIG9_PANELS):
-            if lo <= n <= hi:
-                rows.append((panel, lam, n, maxcut._min_rounds_on_law(law, n, lam, bound_kind)))
-    return ("panel", "lam", "n", "r"), [row for rows in panel_rows for row in rows]
+    # One batch: each exact law is built once for every panel and ratio at its size.
+    keys = [(panel, lam, n) for panel, lam, lo, hi in _FIG9_PANELS for n in range(lo, hi + 1)]
+    rounds = maxcut.min_rounds_for_ratios([(n, lam) for _, lam, n in keys], bound_kind)
+    return ("panel", "lam", "n", "r"), [(*key, r) for key, r in zip(keys, rounds)]
 
 
 FIGURE_GENERATORS = {

@@ -38,8 +38,13 @@ steps the golden-section searches of all rounds in lockstep
 (:func:`_golden_section_argmin_batch`, the package's one golden-section
 loop): whole arrays while every search is live, then by index for the
 last searches, whose brackets differ by a few ulps.  ``bounds.c_ths``
-runs its score searches on the same helper.  Every report is assembled
-by one function, :func:`_reports`, from a threshold, its marked mass
+runs its score searches on the same helper.  On a discrete law one
+scan, :func:`_optimize_discrete`, takes the candidates of every round
+at once, as it takes those of every law a K_{n,n} round-search step
+asks about.  Those searches, and the exact-optimum round count, run on
+the package's one round search, :func:`_first_rounds`: doubling then
+bisection, many searches in lockstep.  Every report is assembled by one
+function, :func:`_reports`, from a threshold, its marked mass
 and its expectation: :func:`threshold_report` queries them for its one
 threshold, and :func:`optimize_thresholds` takes them from what its
 searches already hold, querying the law only for each report's
@@ -54,7 +59,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dist_core import ContinuousLaw, DiscreteLaw, Distribution, _math_map
+from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum, Distribution, _math_map
 from .errors import DomainError
 from .grover_kernel import _check_rounds, _float_or_inf, _threshold_ratio_any, threshold_ratio
 
@@ -202,22 +207,22 @@ def _reports(
     ]
 
 
-def _expectations(mu: float, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.ndarray:
+def _expectations(mu, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.ndarray:
     """E_r elementwise from the law terms ``rho = F(t)`` and ``g = G(t)``.
 
-    ``rho_th = threshold_ratio(r)`` and ``k = 2r + 1`` are one value or
-    one per element.  Every value of the closed form in this module is
-    computed here: the branches of :func:`expectation_at_threshold`, in
-    correctly rounded array arithmetic with ``asin`` and ``sin`` from
-    :mod:`math`, so each element depends on its own ``(rho, g, r)``
-    alone.  A nan marked mass raises as the kernel does.  When every
+    The law mean ``mu``, ``rho_th = threshold_ratio(r)`` and
+    ``k = 2r + 1`` are each one value or one per element.  Every value
+    of the closed form in this module is computed here: the branches of
+    :func:`expectation_at_threshold`, in correctly rounded array
+    arithmetic with ``asin`` and ``sin`` from :mod:`math`, so each
+    element depends on its own ``(mu, rho, g, r)`` alone.  A nan marked mass raises as the kernel does.  When every
     element takes the general branch, as in a threshold search, no
     element is gathered or scattered.
     """
     boosted = rho >= rho_th  # rho_th < 1, so this holds wherever rho >= 1
     general = ~((rho <= 0.0) | boosted)  # nan fails both tests
     every = general.all()
-    rg, kg = (rho, k) if every else (rho[general], k[general] if np.ndim(k) else k)
+    rg, kg, mug = (x[general] if np.ndim(x) and not every else x for x in (rho, k, mu))
     if np.isnan(rg).any():  # the kernel rejects a nan marked mass
         raise DomainError(f"amplification requires 0 < rho <= 1, got {float(rg[np.isnan(rg)][0])!r}")
     s = _math_map(math.sin, kg * _math_map(math.asin, np.sqrt(rg)))
@@ -229,7 +234,7 @@ def _expectations(mu: float, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.nd
             return mu + g_y * (s * s / rho - 1.0) / (1.0 - rho)
         # rho > 0: past r ~ 1e161 threshold_ratio(r) underflows to 0, which a zero mass reaches
         e = np.where(boosted & (rho > 0.0) & (rho < 1.0), mu + g_y / rho, mu)
-        e[general] = mu + g_y[general] * (s * s / rg - 1.0) / (1.0 - rg)
+        e[general] = mug + g_y[general] * (s * s / rg - 1.0) / (1.0 - rg)
     return e
 
 
@@ -284,30 +289,59 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
     return ThresholdCurve(r=r, thresholds=ts, f_values=rho, expectations=e, scores=scores)
 
 
-def _optimize_discrete(law: DiscreteLaw, r: int) -> Tuple[float, float, float]:
-    """Optimal threshold over a discrete support: ``(t, F(t), E_r(t))``.
+#: Most candidate thresholds one pass of the discrete scan evaluates; a
+#: batch with more runs in consecutive parts of whole items.
+_DISCRETE_CHUNK = 1 << 16
 
-    The expectation beyond the certainty region is the plain conditional
-    mean E[X|X<=t], which is non-decreasing in t, so the candidate set
-    is every support value with F <= threshold_ratio(r) plus the first
-    one beyond.  Ties go to the smallest threshold.  ``F(t)`` is the
-    prefix table's entry, which is what ``law.cdf(t)`` returns, and the
-    expectation is :func:`expectation_at_threshold`'s at ``t``, bit for
-    bit.
+
+def _optimize_discrete(
+    spectra: Union[DiscreteSpectrum, Sequence[DiscreteSpectrum]],
+    means: Union[float, Sequence[float]],
+    rounds: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal thresholds over discrete supports: ``(t, F(t), E_r(t))`` per item.
+
+    Item ``i`` is the law with spectrum ``spectra[i]`` and mean
+    ``means[i]`` at the checked round count ``rounds[i]``; one spectrum
+    and one mean serve every item.  The expectation beyond the
+    certainty region is the plain conditional mean E[X|X<=t], which is
+    non-decreasing in t, so an item's candidates are its support values
+    with F <= threshold_ratio(r) plus the first one beyond.  All items'
+    candidates go through one :func:`_expectations` call (per part of
+    at most :data:`_DISCRETE_CHUNK` of them), and each item keeps its
+    first minimum, the smallest threshold on ties, as ``np.argmin``
+    would.  ``F(t)`` is the prefix table's entry, which is what
+    ``law.cdf(t)`` returns, and the expectation is
+    :func:`expectation_at_threshold`'s at ``t``, bit for bit.
     """
-    spectrum = law.spectrum
-    rho_th = threshold_ratio(r)
-    k = int(np.searchsorted(spectrum.mass_prefix, rho_th, side="right"))
-    n_candidates = min(k + 1, spectrum.values.size)
-    e = _expectations(
-        law.mean,
-        spectrum.mass_prefix[:n_candidates],
-        spectrum.gain_prefix[:n_candidates],
-        rho_th,
-        2.0 * r + 1.0,
-    )
-    best = int(np.argmin(e))
-    return float(spectrum.values[best]), float(spectrum.mass_prefix[best]), float(e[best])
+    count = len(rounds)
+    if isinstance(spectra, DiscreteSpectrum):
+        spectra = [spectra] * count
+    means = np.broadcast_to(np.asarray(means, dtype=np.float64), (count,))
+    rho_th, k = _round_terms(list(rounds))
+    sizes = np.array([
+        min(int(spectrum.mass_prefix.searchsorted(th, side="right")) + 1, spectrum.values.size)
+        for spectrum, th in zip(spectra, rho_th.tolist())
+    ], dtype=np.intp)
+    ends = np.cumsum(sizes)
+    t, rho, e = np.empty(count), np.empty(count), np.empty(count)
+    start = 0
+    while start < count:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _DISCRETE_CHUNK, side="right")))
+        part, items, n = slice(start, stop), range(start, stop), sizes[start:stop]
+        first = ends[part] - n - base  # each item's first candidate within the part
+        rho_c = np.concatenate([spectra[i].mass_prefix[: sizes[i]] for i in items])
+        g_c = np.concatenate([spectra[i].gain_prefix[: sizes[i]] for i in items])
+        mu_c, rho_th_c, k_c = (np.repeat(x[part], n) for x in (means, rho_th, k))
+        e_c = _expectations(mu_c, rho_c, g_c, rho_th_c, k_c)
+        low = np.minimum.reduceat(e_c, first)  # nan where an item has a nan, as argmin
+        hits = np.flatnonzero((e_c == np.repeat(low, n)) | np.isnan(e_c))
+        best = hits[np.searchsorted(hits, first)]  # each item's first minimum
+        t[part] = [spectra[i].values[j] for i, j in zip(items, (best - first).tolist())]
+        rho[part], e[part] = rho_c[best], e_c[best]
+        start = stop
+    return t, rho, e
 
 
 def _golden_section_argmin_batch(
@@ -431,9 +465,9 @@ def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[Thres
 
     On a continuous law the golden-section searches of all rounds run at
     once, as numpy arrays stepped in lockstep (see the module docstring);
-    a discrete law's scan is already vectorized over its candidates, so
-    it runs once per round.  The reports are then assembled from what
-    the searches hold -- the winning threshold, its marked mass (one
+    on a discrete law one scan takes the candidates of every round
+    (:func:`_optimize_discrete`).  The reports are then assembled from
+    what the searches hold -- the winning threshold, its marked mass (one
     ``_search_terms`` query of the winning masses, or the prefix table)
     and its expectation -- with no round rechecked and no ``cdf(t)`` or
     ``partial_expectation(t)`` queried again.
@@ -446,7 +480,7 @@ def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[Thres
         return []
     rho_th, k = _round_terms(rounds)
     if isinstance(dist, DiscreteLaw):
-        t, rho, e_r = np.array([_optimize_discrete(dist, r) for r in rounds]).T
+        t, rho, e_r = _optimize_discrete(dist.spectrum, dist.mean, rounds)
     else:
         u, e_r = _optimize_continuous_batch(dist, rounds, rho_th, k)
         t, rho, _ = dist._search_terms(u)
@@ -463,31 +497,61 @@ def min_rounds_exact_opt(dist: Distribution) -> int:
     """
     if not isinstance(dist, DiscreteLaw):
         raise DomainError("exact-optimum round counts need a discrete law (point mass at the minimum)")
-    f = dist.min_mass()
-    if f >= 1.0:
-        return 0
+    return _min_rounds_exact([dist.min_mass()])[0]
+
+
+def _min_rounds_exact(masses: Sequence[float]) -> List[int]:
+    """:func:`min_rounds_exact_opt` of laws whose minima carry ``masses``, searched in lockstep."""
+    searched = [i for i, f in enumerate(masses) if f < 1.0]
+    found = [0] * len(masses)
+
+    def reached(live: List[int], rounds: List[int]) -> List[bool]:
+        return [masses[searched[j]] >= threshold_ratio(r) for j, r in zip(live, rounds)]
+
     # threshold_ratio(r) underflows to 0 by r ~ 2**540, so every f > 0 is reached.
-    return _first_round(lambda r: f >= threshold_ratio(r), math.inf)
+    for i, r in zip(searched, _first_rounds(reached, len(searched), math.inf)):
+        found[i] = r
+    return found
 
 
-def _first_round(reached: Callable[[int], bool], limit: float) -> Optional[int]:
-    """Smallest ``r >= 1`` with ``reached(r)``, or None if ``reached(limit)`` is false.
+def _first_rounds(
+    reached: Callable[[List[int], List[int]], Sequence[bool]], count: int, limit: float
+) -> List[Optional[int]]:
+    """Round searches in lockstep: the smallest ``r >= 1`` at which each is reached.
 
-    ``reached`` must be false below some round count and true from it
-    on.  It is tried at r = 1, 2, 4, ... (capped at ``limit``) until it
-    holds, then bisected between the last two round counts tried.  Each
-    doubling step calls it with a round count larger than any before.
+    Search ``i`` is reached at ``r`` when ``reached(indices, rounds)``
+    returns true at ``i``'s position, for ``indices`` the live searches
+    (ascending) and ``rounds`` their round counts, one each.  It must be
+    false below some round count and true from it on.  Each search is
+    tried at r = 1, 2, 4, ... (capped at ``limit``) until it holds, then
+    bisected between the last two round counts tried, and drops out
+    when it is done; a search not reached at ``limit`` gives None.  So
+    each takes exactly the steps of the scalar search alone
+    (``tests/oracles.py`` keeps it as the reference), and each of its
+    doubling steps asks for a round count larger than any before.
     """
-    r = 1
-    while not reached(r):
-        if r >= limit:
-            return None
-        r = min(2 * r, limit)
-    lo, hi = r // 2, r  # not reached(lo) unless lo = 0; reached(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    found: List[Optional[int]] = [None] * count
+    lo, hi = [0] * count, [1] * count  # while doubling, hi is the next round count to try
+    doubling = [True] * count
+    live = list(range(count))
+    while live:
+        tries = [hi[i] if doubling[i] else (lo[i] + hi[i]) // 2 for i in live]
+        still = []
+        for i, r, hit in zip(live, tries, reached(live, tries)):
+            if doubling[i] and not hit:
+                if r < limit:
+                    hi[i] = min(2 * r, limit)
+                    still.append(i)
+                continue
+            if doubling[i]:  # reached for the first time: bisect (r // 2, r]
+                doubling[i], lo[i] = False, r // 2
+            elif hit:
+                hi[i] = r
+            else:
+                lo[i] = r
+            if hi[i] - lo[i] > 1:
+                still.append(i)
+            else:
+                found[i] = hi[i]
+        live = still
+    return found

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import _floor_terms
+from .dist_core import DiscreteSpectrum
 from .dist_models import EmpiricalLaw
 from .errors import DomainError, NumericalError
-from .gmth import _first_round, _optimize_discrete, min_rounds_exact_opt
+from .gmth import _first_rounds, _min_rounds_exact, _optimize_discrete
 
 __all__ = [
     "BipartiteSpectrum",
@@ -44,6 +45,7 @@ __all__ = [
     "complete_bipartite_instance",
     "read_edge_list",
     "min_rounds_for_ratio",
+    "min_rounds_for_ratios",
     "MAX_BRUTE_FORCE_VERTICES",
     "MAX_PART_SIZE",
     "ROUND_SEARCH_LIMIT",
@@ -58,6 +60,12 @@ MAX_PART_SIZE = 300
 #: Round searches give up beyond this many rounds and report the target
 #: ratio as unattainable (an empty ``r`` cell in the CSVs).
 ROUND_SEARCH_LIMIT = 2**63
+
+#: Most support values the laws of one batch of round searches hold
+#: together (about 330 kB of spectra), so that a wide range of part sizes
+#: peaks at about the memory of one law at a time.  The batch that passes
+#: it runs at once; K_{300,300} alone has 12,687 values.
+_BATCH_ATOMS = 1 << 13
 
 _FRAMES = ("y", "x")
 
@@ -266,22 +274,6 @@ def read_edge_list(path: str) -> GraphInstance:
 _BOUND_KINDS = ("max_amplification", "gmth")
 
 
-def _achieved_ratio(law_y: EmpiricalLaw, n: int, r: int, bound_kind: str) -> float:
-    """Approximation ratio reached at r rounds on K_{n,n}.
-
-    ``lam = E_x / R_min_x`` with ``E_x = E_y - n^2/2`` and
-    ``R_min_x = -n^2``, i.e. ``lam = 1/2 - E_y / n^2``.  The ``"gmth"``
-    expectation is the optimized threshold's ``E_r`` as the discrete scan
-    found it, equal to :func:`~thqaoa.gmth.optimize_threshold`'s bit for
-    bit, without the rest of the report.
-    """
-    if bound_kind == "max_amplification":
-        _, _, expectation = _floor_terms(law_y, r)
-    else:
-        _, _, expectation = _optimize_discrete(law_y, r)
-    return 0.5 - expectation / float(n * n)
-
-
 def _check_target(lam: float, bound_kind: str) -> None:
     if not (0.0 < lam <= 1.0):
         raise DomainError(f"approximation ratio must lie in (0, 1], got {lam!r}")
@@ -306,49 +298,127 @@ def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplificatio
 
     * ``"max_amplification"`` -- the per-class amplification floor
       (the most optimistic expectation any amplitude-amplification
-      schedule can reach).  Each r evaluates only the per-r core of
+      schedule can reach).  Each r evaluates only the floor terms of
       :func:`~thqaoa.bounds.max_amplification_floor` (``tau1``,
       ``tau2``, ``E_floor``), not the report's round counts, which
       depend on the law alone.  At ``lam = 1`` this branch returns the
       closed form ``ceil(2^{(2n-3)/2})``, the smallest r with
       ``(2r)^2`` amplified draws covering the ``M / 2`` solutions per
       optimal assignment, without building the spectrum.
-    * ``"gmth"`` -- the optimized threshold expectation; at ``lam = 1``
-      this is the smallest r whose amplification window reaches
-      probability one on the optimal class alone.
+    * ``"gmth"`` -- the optimized threshold expectation, as the discrete
+      scan of :func:`~thqaoa.gmth.optimize_threshold` finds it; at
+      ``lam = 1`` this is the smallest r whose amplification window
+      reaches probability one on the optimal class alone.
 
     For ``lam < 1`` the achieved ratio is monotone non-decreasing in r
-    (verified during bracketing) and the answer is found by doubling
-    then binary search.  Ratios not reached within ``2^63`` rounds
-    give None.
+    (checked at each doubling step; a fall raises ``NumericalError``
+    naming n and r) and the answer is found by doubling then binary
+    search.  Ratios not reached within ``2^63`` rounds give None.
+
+    This is :func:`min_rounds_for_ratios` for the one pair.
     """
-    n = _check_part_size(n)
-    _check_target(lam, bound_kind)
-    if lam == 1.0 and bound_kind == "max_amplification":
-        return _max_amplification_rounds_to_optimum(n)
-    return _min_rounds_on_law(knn_spectrum(n, frame="y"), n, lam, bound_kind)
+    return min_rounds_for_ratios([(n, lam)], bound_kind)[0]
 
 
-def _min_rounds_on_law(law_y: EmpiricalLaw, n: int, lam: float, bound_kind: str) -> Optional[int]:
-    """:func:`min_rounds_for_ratio` on ``law_y = knn_spectrum(n, "y")``
-    built by the caller, so that one law serves several targets."""
-    _check_target(lam, bound_kind)
-    if lam == 1.0:
-        if bound_kind == "gmth":
-            return max(1, min_rounds_exact_opt(law_y))
-        return _max_amplification_rounds_to_optimum(n)
+def min_rounds_for_ratios(
+    pairs: Iterable[Tuple[int, float]], bound_kind: str = "max_amplification"
+) -> List[Optional[int]]:
+    """:func:`min_rounds_for_ratio` for each ``(n, lam)`` pair, in order.
 
-    largest, previous = 0, -math.inf  # the largest r tried so far, and its ratio
+    Every pair is checked before any law is built, and each K_{n,n} law
+    is built once, whatever the number of targets it serves.  Part sizes
+    run in ascending order, in batches of consecutive sizes: a batch
+    keeps each law's spectrum and mean only, not its exact counts, and
+    runs once its laws hold :data:`_BATCH_ATOMS` support values.  The
+    searches of a batch step in lockstep (``gmth._first_rounds``), each
+    taking the steps it would take alone, so every count equals the
+    search of its pair alone.
+    """
+    pairs = [(_check_part_size(n), lam) for n, lam in pairs]
+    for _, lam in pairs:
+        _check_target(lam, bound_kind)
+    found: List[Optional[int]] = [None] * len(pairs)
+    by_size: Dict[int, List[int]] = {}
+    for i, (n, lam) in enumerate(pairs):
+        if lam == 1.0 and bound_kind == "max_amplification":
+            found[i] = _max_amplification_rounds_to_optimum(n)
+        else:
+            by_size.setdefault(n, []).append(i)
+    certain: List[Tuple[int, float]] = []  # gmth at lam = 1: certainty on the optimal class
+    batch: List[Tuple[int, int, float, DiscreteSpectrum, float]] = []
+    held = 0
+    for n in sorted(by_size):
+        law = knn_spectrum(n, frame="y")
+        for i in by_size[n]:
+            lam = pairs[i][1]
+            if lam == 1.0:
+                certain.append((i, law.min_mass()))
+            else:
+                batch.append((i, n, lam, law.spectrum, law.mean))
+        if batch and batch[-1][1] == n:  # the batch holds this law's spectrum
+            held += law.spectrum.values.size
+        del law  # the next law is built without this one's exact counts
+        if held >= _BATCH_ATOMS:
+            _search_batch(batch, bound_kind, found)
+            batch, held = [], 0
+    _search_batch(batch, bound_kind, found)
+    for (i, _), r in zip(certain, _min_rounds_exact([f for _, f in certain])):
+        found[i] = max(1, r)
+    return found
 
-    def reached(r: int) -> bool:
-        nonlocal largest, previous
-        achieved = _achieved_ratio(law_y, n, r, bound_kind)
-        if r > largest:  # a doubling step
-            if achieved < previous - 1e-12:
-                raise NumericalError(
-                    f"achieved ratio decreased from {previous!r} to {achieved!r} at r={r}"
-                )
-            largest, previous = r, achieved
-        return achieved >= lam
 
-    return _first_round(reached, ROUND_SEARCH_LIMIT)
+def _achieved_ratios(
+    spectra: Sequence[DiscreteSpectrum],
+    means: np.ndarray,
+    sizes: np.ndarray,
+    rounds: List[int],
+    bound_kind: str,
+) -> np.ndarray:
+    """Approximation ratios reached at ``rounds[i]`` rounds on K_{n,n}, ``n = sizes[i]``.
+
+    ``spectra[i]`` and ``means[i]`` are that law's in the ``"y"``
+    frame.  ``lam = E_x / R_min_x`` with ``E_x = E_y - n^2/2`` and
+    ``R_min_x = -n^2``, i.e. ``lam = 1/2 - E_y / n^2``.  One pass
+    evaluates every element: the floor terms, or the discrete scan,
+    whose ``"gmth"`` expectation is the optimized threshold's ``E_r``,
+    equal to :func:`~thqaoa.gmth.optimize_threshold`'s bit for bit.
+    """
+    if bound_kind == "max_amplification":
+        _, _, expectation = _floor_terms(spectra, rounds)
+    else:
+        _, _, expectation = _optimize_discrete(spectra, means, rounds)
+    return 0.5 - expectation / (sizes * sizes).astype(np.float64)
+
+
+def _search_batch(
+    batch: List[Tuple[int, int, float, DiscreteSpectrum, float]],
+    bound_kind: str,
+    found: List[Optional[int]],
+) -> None:
+    """Run the round searches of ``batch`` in lockstep and store each in ``found``.
+
+    Each item is ``(pair index, n, lam, spectrum, mean)`` with
+    ``lam < 1``.  Each step evaluates the ratios of every live search
+    in one :func:`_achieved_ratios` pass.
+    """
+    if not batch:
+        return
+    index, sizes, lams, spectra, means = zip(*batch)
+    n, lam, mean = np.array(sizes), np.array(lams), np.array(means)
+    largest, previous = [0] * len(batch), [-math.inf] * len(batch)  # per search: largest r tried, its ratio
+
+    def reached(live: List[int], rounds: List[int]) -> np.ndarray:
+        at = np.array(live)
+        achieved = _achieved_ratios([spectra[j] for j in live], mean[at], n[at], rounds, bound_kind)
+        for j, r, value in zip(live, rounds, achieved.tolist()):
+            if r > largest[j]:  # a doubling step
+                if value < previous[j] - 1e-12:
+                    raise NumericalError(
+                        f"K_{{{sizes[j]},{sizes[j]}}}: achieved ratio decreased from "
+                        f"{previous[j]!r} to {value!r} at r={r}"
+                    )
+                largest[j], previous[j] = r, value
+        return achieved >= lam[at]
+
+    for i, r in zip(index, _first_rounds(reached, len(batch), ROUND_SEARCH_LIMIT)):
+        found[i] = r

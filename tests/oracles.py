@@ -298,6 +298,87 @@ def threshold_optimum_reference(law, r: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Scalar round searches and per-r amplification floors
+# ---------------------------------------------------------------------------
+
+
+def first_round_reference(reached: Callable[[int], bool], limit: float):
+    """Smallest ``r >= 1`` with ``reached(r)``, or None if ``reached(limit)`` is false.
+
+    The search ``gmth`` ran before its round searches ran in lockstep:
+    ``reached`` is tried at r = 1, 2, 4, ... (capped at ``limit``) until
+    it holds, then bisected between the last two round counts tried.
+    The library steps many such searches at once; each must take this
+    loop's steps.
+    """
+    r = 1
+    while not reached(r):
+        if r >= limit:
+            return None
+        r = min(2 * r, limit)
+    lo, hi = r // 2, r
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def floor_terms_reference(law, r: int) -> Tuple[float, float, float]:
+    """``(tau1, tau2, E_floor)`` of the amplification floor at one round count.
+
+    In Python floats, as ``bounds`` computed it one r at a time: a
+    discrete law's ``tau1`` is its largest support value with
+    ``F <= 1/(2r+1)^2`` (``-inf`` with the floor ``0.0 + tau2`` when
+    there is none), read from its prefix tables; a continuous law's is
+    ``quantile(1/(2r+1)^2)``, with ``E_floor = G(tau1) (2r+1)^2``.
+    ``(2r+1)^2`` is inf past the double range.
+    """
+    try:
+        den = float((2 * r + 1) ** 2)
+    except OverflowError:
+        den = math.inf
+    cap = 1.0 / den
+    if hasattr(law, "spectrum"):
+        values = law.spectrum.values.tolist()
+        prefix = law.spectrum.mass_prefix.tolist()
+        idx = sum(1 for f in prefix if f <= cap) - 1
+        if idx < 0:
+            return -math.inf, values[0], 0.0 + values[0]
+        tau2 = values[min(idx + 1, len(values) - 1)]
+        g1 = law.spectrum.gain_prefix.tolist()[idx]
+        return values[idx], tau2, g1 * den + tau2 * (1.0 - prefix[idx] * den)
+    tau1 = law.quantile(cap)
+    return tau1, tau1, law.partial_expectation(tau1) * den
+
+
+def knn_min_rounds_reference(
+    law, n: int, lam: float, bound_kind: str, expectation: Callable[[int], float]
+):
+    """Fewest rounds reaching ratio ``lam`` on K_{n,n}, one search alone.
+
+    ``law`` is the ``"y"``-frame law and ``expectation(r)`` the
+    expectation of ``bound_kind``'s model at r rounds; the ratio is
+    ``0.5 - E / n^2``.  At ``lam = 1`` the floor model has the closed
+    form ``ceil(2^{(2n-3)/2})`` (1 at n = 1), and the threshold model
+    needs the optimal class boosted to certainty; below 1 the search is
+    :func:`first_round_reference` up to 2^63 rounds.
+    """
+    if lam == 1.0 and bound_kind == "max_amplification":
+        if n == 1:
+            return 1
+        power = 1 << (2 * n - 3)
+        root = math.isqrt(power)
+        return root if root * root == power else root + 1
+    if lam == 1.0:
+        f = law.min_mass()
+        return max(1, first_round_reference(lambda r: f >= _threshold_ratio(r), math.inf))
+    return first_round_reference(lambda r: 0.5 - expectation(r) / float(n * n) >= lam, 2**63)
+
+
+# ---------------------------------------------------------------------------
 # Dense full-space circuit simulation (no degeneracy collapse)
 # ---------------------------------------------------------------------------
 

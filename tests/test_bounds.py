@@ -20,7 +20,14 @@ from thqaoa.bounds import (
     quantile_sandwich,
     simulated_amplification,
 )
-from thqaoa.dist_models import make_empirical, make_normal, make_two_point
+from thqaoa.dist_models import (
+    make_binomial,
+    make_empirical,
+    make_normal,
+    make_reflected_gamma,
+    make_reflected_pareto,
+    make_two_point,
+)
 from thqaoa.errors import DomainError
 from thqaoa.gmth import min_rounds_exact_opt, optimize_threshold
 from thqaoa.grover_kernel import (
@@ -183,6 +190,47 @@ def test_floor_report_fields():
     assert rep_l.quantile_bounds == pytest.approx((L / 36.0, L * math.pi**2 / 144.0))
     assert rep.min_rounds_exact == min_rounds_exact_opt(law)
     assert rep.min_rounds_grover == grover_based_min_rounds_exact(0.125)
+
+
+_FLOOR_ROUNDS = [1, 10**6, 10**160, 2**1020]
+
+
+def _floor_laws():
+    return {
+        "knn:50": knn_spectrum(50),
+        "binomial:30,0.4": make_binomial(30, 0.4),
+        "empirical -0.0": make_empirical([(-0.0, 1), (1.0, 9)]),  # no value qualifies from r = 2
+        "normal": make_normal(0.0, 1.0),
+        "gamma": make_reflected_gamma(2.0, 1.0),
+        "pareto": make_reflected_pareto(1.0, 1.0),
+    }
+
+
+def _hex_rows(columns):
+    return [tuple(v.hex() for v in row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def test_floor_terms_equal_per_r_reference_bit_for_bit():
+    for name, law in _floor_laws().items():
+        rounds = _FLOOR_ROUNDS
+        if not hasattr(law, "spectrum"):
+            rounds = _FLOOR_ROUNDS[:2]  # (2r+1)^2 passes the double range beyond
+            for r in _FLOOR_ROUNDS[2:]:
+                with pytest.raises(DomainError, match=f"r = {r}$"):
+                    bounds._floor_terms(law, [1, r])
+        expected = [tuple(v.hex() for v in oracles.floor_terms_reference(law, r)) for r in rounds]
+        assert _hex_rows(bounds._floor_terms(law, rounds)) == expected, name
+
+
+def test_floor_terms_of_many_spectra_equal_per_r_reference():
+    # The round searches' form: one spectrum per round count, several
+    # laws.  Past r ~ 6.7e153, den = inf must stay silent: tier-1 makes a
+    # numpy RuntimeWarning an error.
+    laws = [law for law in _floor_laws().values() if hasattr(law, "spectrum")]
+    items = [(law, r) for r in _FLOOR_ROUNDS for law in laws]
+    got = bounds._floor_terms([law.spectrum for law, _ in items], [r for _, r in items])
+    expected = [tuple(v.hex() for v in oracles.floor_terms_reference(law, r)) for law, r in items]
+    assert _hex_rows(got) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -547,6 +547,24 @@ def test_maxcut_n_with_n_range_rejected(capsys):
     assert out == ""
 
 
+def test_maxcut_n_range_checked_before_any_law(capsys, monkeypatch):
+    # a range past the largest part size fails at once, not after
+    # searching the valid part of it
+    from thqaoa import maxcut
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a law was built before the range was checked")
+
+    monkeypatch.setattr(maxcut, "knn_spectrum", no_build)
+    for n_range in ("4,1000", "0,5"):
+        code, out, err = run_cli(capsys, "maxcut", "--n-range", n_range, "--lam", "0.52")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--n-range" in lines[0] and "1,300" in lines[0]
+
+
 def test_minus_infinity_threshold_with_equals_form(capsys):
     # argparse reads a separate "-inf" as an option, so the help names --t=-inf
     code, out, _ = run_cli(capsys, "threshold", "--dist", "normal:0,1", "--r", "1", "--t=-inf")

@@ -243,7 +243,10 @@ def test_empirical_from_file_roundtrip(tmp_path):
 
 def test_empirical_from_file_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
-    for line in ("oops", "abc,3", "0,1.5", "0,nan", "1,2,3"):
+    # rows that do not parse, then rows that parse but are invalid: a zero
+    # or negative count, a value that is not finite, a value not above the
+    # one before
+    for line in ("oops", "abc,3", "0,1.5", "0,nan", "1,2,3", "0,0", "nan,1", "-3,1", "0,-2", "-2.0,4", "inf,1"):
         path.write_text(f"-2.0,1\n{line}\n")
         with pytest.raises(DomainError) as err:
             empirical_from_file(str(path))

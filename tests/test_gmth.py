@@ -11,7 +11,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thqaoa import cli, figures, gmqaoa
+from thqaoa import cli, figures, gmqaoa, gmth
 from thqaoa.bounds import c_th
 from thqaoa.dist_models import (
     ReflectedParetoLaw,
@@ -425,6 +425,50 @@ def test_batched_optima_check_rounds_and_masses():
         optimize_thresholds(law, [1, 10**160])
 
 
+_DISCRETE_ROUNDS = [1, 2, 3, 10, 1000, 10**6, 10**16, 10**150]
+
+
+def _hex_list(values):
+    return [v.hex() for v in values.tolist()]
+
+
+def test_discrete_scan_of_many_laws_equals_per_item_reference(monkeypatch):
+    # One scan takes items of several laws, each with its own round count;
+    # split into parts of whole items, it gives the same doubles.
+    laws = [
+        knn_spectrum(20),
+        make_binomial(30, 0.4),
+        make_empirical([(-0.0, 1), (1.0, 9)]),
+        make_two_point(0.01),
+    ]
+    items = [(law, r) for r in _DISCRETE_ROUNDS for law in laws]
+    expected = [
+        tuple(oracles.threshold_optimum_reference(law, r)[i].hex() for i in (1, 3, 5)) for law, r in items
+    ]
+    for chunk in (gmth._DISCRETE_CHUNK, 7):
+        monkeypatch.setattr(gmth, "_DISCRETE_CHUNK", chunk)
+        t, rho, e = gmth._optimize_discrete(
+            [law.spectrum for law, _ in items], [law.mean for law, _ in items], [r for _, r in items]
+        )
+        assert list(zip(*(_hex_list(c) for c in (t, rho, e)))) == expected, chunk
+
+
+def test_discrete_scan_ties_go_to_the_smallest_threshold(monkeypatch):
+    def plateaus(mu, rho, g, rho_th, k):  # a tie: every mass from 1e-4 on scores 0
+        return np.where(rho < 1e-4, 1.0, 0.0)
+
+    law = knn_spectrum(20)
+    rounds = [1, 1, 2]
+    monkeypatch.setattr(gmth, "_expectations", plateaus)
+    t, _, _ = gmth._optimize_discrete(law.spectrum, law.mean, rounds)
+    prefix = law.spectrum.mass_prefix
+    for r, t_r in zip(rounds, t.tolist()):
+        size = min(int(np.searchsorted(prefix, threshold_ratio(r), side="right")) + 1, prefix.size)
+        scores = plateaus(None, prefix[:size], None, None, None)
+        assert np.count_nonzero(scores == scores.min()) >= 2 and np.argmin(scores) > 0
+        assert t_r == law.spectrum.values[np.argmin(scores)]
+
+
 _BRACKETS = st.lists(
     st.tuples(st.floats(-50.0, 50.0), st.floats(0.0, 100.0), st.floats(-60.0, 60.0)),
     min_size=1,
@@ -514,11 +558,13 @@ def test_golden_section_optima_bit_pinned():
 # sha256 of the `reproduce` CSV bytes, recorded with numpy 2.4.6 and
 # scipy 1.17.1: fig1 is c_th per round, fig2 the standard-normal threshold
 # optima on a quarter-octave grid up to 10^6, fig5 the binomial and normal
-# threshold optima, fig8 the exact K_{50,50} law (counts, masses, cdf).
+# threshold optima, fig7 the amplification floor of K_{50,50} over its
+# round grid, fig8 the exact K_{50,50} law (counts, masses, cdf).
 _PINNED_REPRODUCE_SHA256 = {
     "fig1": "cb6408bdd28a598c7cc6b8b66f97da129c253afc01fbe0eadd0fd01941974a44",
     "fig2": "63013586fc2681fb4433ad6c154141856b475e171596ad23f70a3d63db7880a5",
     "fig5": "53acc7469db8b421684e2d3179b91096282f8972f1e263291d8b74aea427188c",
+    "fig7": "188e741296ffea84aa6a2907f41ed368e0aa044f37c5bbc10f8deac10273a22b",
     "fig8": "c32ef603fb0f246a25d93a85a787715acb2771c1d74157da18c2f06726e9b497",
 }
 
@@ -532,8 +578,10 @@ def test_reproduce_csv_bytes_pinned(target, tmp_path):
 
 # sha256 of CLI CSV bytes, recorded like the pins above: the K_{300,300}
 # law (181-digit counts), the amplification-floor report on K_{50,50} over
-# a 4429-round grid, and two multi-round threshold sweeps -- a Pareto law
-# at r = 1..1000 and fig4's k = 0.01 Gamma law on 60 quarter-octave rounds.
+# a 4429-round grid, two multi-round threshold sweeps -- a Pareto law
+# at r = 1..1000 and fig4's k = 0.01 Gamma law on 60 quarter-octave rounds --
+# and two K_{n,n} round searches over n = 4..40, one per bound kind.  They
+# stop below n = 53, where the float decisions start to miscount.
 _PINNED_CLI_SHA256 = {
     "maxcut-n300": (
         ["maxcut", "--n", "300"],
@@ -546,6 +594,14 @@ _PINNED_CLI_SHA256 = {
     "sweep-pareto": (
         ["sweep", "--dist", "pareto:18,1", "--r", "linspace:1,1000,1000"],
         "5d8b8649d38a56f8c3bad90c77dcf7a47b00a0f86662ba28950e123586214b1b",
+    ),
+    "maxcut-rounds-gmth": (
+        ["maxcut", "--n-range", "4,40", "--lam", "0.9411764705882353", "--bound-kind", "gmth"],
+        "c6e91a8e169a175cb72124cc0dc5a17d1472d9c7b6851b642092a83c0442ba3b",
+    ),
+    "maxcut-rounds-floor": (
+        ["maxcut", "--n-range", "4,40", "--lam", "0.8786", "--bound-kind", "max_amplification"],
+        "40c24027607941c0169c8f0096df50b2ea354de34c2cd4c3276156e027be99ac",
     ),
     "sweep-gamma": (
         ["sweep", "--dist", "gamma:0.005,0.5", "--r", "pow2:4,64"],
@@ -584,3 +640,34 @@ def test_min_rounds_exact_opt_edge_cases():
     assert min_rounds_exact_opt(make_two_point(0.26)) == 1
     with pytest.raises(DomainError):
         min_rounds_exact_opt(make_normal(0.0, 1.0))
+
+
+@given(
+    targets=st.lists(st.one_of(st.none(), st.integers(1, 2**70)), min_size=1, max_size=30),
+    limit=st.sampled_from([37, 2**63, math.inf]),
+)
+@example(targets=[1, 2, 3, 2**63, 2**63 + 1, None], limit=2**63)
+@settings(max_examples=200, deadline=None)
+def test_lockstep_round_searches_take_the_scalar_steps(targets, limit):
+    # Searches finishing at different steps drop out of the lockstep; each
+    # asks for the same round counts, in the same order, as alone.
+    if limit == math.inf:
+        targets = [target or 1 for target in targets]  # a search must end
+    asked = [[] for _ in targets]
+
+    def reached(indices, rounds):
+        assert indices == sorted(set(indices))
+        for i, r in zip(indices, rounds):
+            asked[i].append(r)
+        return [targets[i] is not None and r >= targets[i] for i, r in zip(indices, rounds)]
+
+    found = gmth._first_rounds(reached, len(targets), limit)
+    for i, target in enumerate(targets):
+        alone = []
+
+        def scalar(r, target=target):
+            alone.append(r)
+            return target is not None and r >= target
+
+        assert found[i] == oracles.first_round_reference(scalar, limit)
+        assert asked[i] == alone

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from thqaoa import maxcut
-from thqaoa.errors import DomainError
+from thqaoa.errors import DomainError, NumericalError
 from thqaoa.maxcut import (
     MAX_BRUTE_FORCE_VERTICES,
     MAX_PART_SIZE,
@@ -241,25 +241,74 @@ def test_min_rounds_closed_form_builds_no_spectrum(monkeypatch):
 
 
 def test_min_rounds_on_prebuilt_law_matches_public_search():
-    for n in (3, 7, 12):
-        law = knn_spectrum(n, frame="y")
-        for kind in ("max_amplification", "gmth"):
-            for lam in (0.52, 0.8786, 16.0 / 17.0, 1.0):
-                assert maxcut._min_rounds_on_law(law, n, lam, kind) == min_rounds_for_ratio(
-                    n, lam, bound_kind=kind
-                )
+    # the batch builds each law once for all of its targets
+    pairs = [(n, lam) for n in (3, 7, 12) for lam in (0.52, 0.8786, 16.0 / 17.0, 1.0)]
+    for kind in ("max_amplification", "gmth"):
+        assert maxcut.min_rounds_for_ratios(pairs, kind) == [
+            min_rounds_for_ratio(n, lam, bound_kind=kind) for n, lam in pairs
+        ]
     with pytest.raises(DomainError):
-        maxcut._min_rounds_on_law(knn_spectrum(5), 5, 0.5, "magic")
+        maxcut.min_rounds_for_ratios([(5, 0.5)], "magic")
 
 
 def test_gmth_achieved_ratio_is_the_optimized_report_bit_for_bit():
     from thqaoa.gmth import optimize_threshold
 
-    for n in (4, 9, 30):
+    laws = {n: knn_spectrum(n, frame="y") for n in (4, 9, 30)}
+    items = [(n, r) for n in laws for r in (1, 2, 3, 10, 1000, 10**6)]
+    ratios = maxcut._achieved_ratios(
+        [laws[n].spectrum for n, _ in items],
+        np.array([laws[n].mean for n, _ in items]),
+        np.array([n for n, _ in items]),
+        [r for _, r in items],
+        "gmth",
+    )
+    for (n, r), ratio in zip(items, ratios.tolist()):
+        expected = 0.5 - optimize_threshold(laws[n], r).E_r / float(n * n)
+        assert ratio.hex() == expected.hex(), (n, r)
+
+
+_ORACLE_RATIOS = (0.52, 0.75, 0.8786, 16.0 / 17.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["max_amplification", "gmth"])
+def test_min_rounds_batch_equals_scalar_searches(kind, monkeypatch):
+    # Every count of the lockstep equals one scalar search of its pair
+    # alone; the answer does not depend on the batch's order, on how it
+    # is split, or on how many laws one batch holds.
+    from thqaoa.gmth import optimize_threshold
+
+    pairs = [(n, lam) for n in range(1, 61) for lam in _ORACLE_RATIOS]
+    expected = []
+    for n in range(1, 61):
         law = knn_spectrum(n, frame="y")
-        for r in (1, 2, 3, 10, 1000, 10**6):
-            expected = 0.5 - optimize_threshold(law, r).E_r / float(n * n)
-            assert maxcut._achieved_ratio(law, n, r, "gmth").hex() == expected.hex()
+        if kind == "max_amplification":
+            expectation = lambda r, law=law: oracles.floor_terms_reference(law, r)[2]  # noqa: E731
+        else:
+            expectation = lambda r, law=law: optimize_threshold(law, r).E_r  # noqa: E731
+        expected += [oracles.knn_min_rounds_reference(law, n, lam, kind, expectation) for lam in _ORACLE_RATIOS]
+    assert maxcut.min_rounds_for_ratios(pairs, kind) == expected
+
+    order = np.random.default_rng(19).permutation(len(pairs)).tolist()
+    shuffled = maxcut.min_rounds_for_ratios([pairs[i] for i in order], kind)
+    assert shuffled == [expected[i] for i in order]
+    half = len(pairs) // 2
+    split = maxcut.min_rounds_for_ratios(pairs[:half], kind) + maxcut.min_rounds_for_ratios(pairs[half:], kind)
+    assert split == expected
+    monkeypatch.setattr(maxcut, "_BATCH_ATOMS", 1)  # one law per batch
+    assert maxcut.min_rounds_for_ratios(pairs, kind) == expected
+
+
+def test_falling_ratio_during_doubling_raises_naming_n_and_r(monkeypatch):
+    # the floor rises with r, so the ratio falls from r = 1 to r = 2
+    def rising_floor(spectra, rounds):
+        e = np.array([float(r) for r in rounds])
+        return e, e, e
+
+    monkeypatch.setattr(maxcut, "_floor_terms", rising_floor)
+    with pytest.raises(NumericalError) as err:
+        maxcut.min_rounds_for_ratios([(5, 0.9), (7, 0.9)])
+    assert "K_{5,5}" in str(err.value) and "at r=2" in str(err.value)
 
 
 @pytest.mark.parametrize("kind", ["max_amplification", "gmth"])
