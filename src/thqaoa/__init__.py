@@ -5,11 +5,11 @@ law of the cost of a uniformly random solution) and computes, in closed
 form, what a Grover-mixer schedule can achieve on it:
 
 * :mod:`thqaoa.dist_core` / :mod:`thqaoa.dist_models` -- the
-  distribution layer: cdf, partial expectation ``E[X 1{X<=x}]``,
-  quantiles (scalar, and one array form of each that equals them bit
-  for bit), equal-mass discretization, and the
-  concrete families (normal, reflected gamma, binomial, reflected
-  Pareto, two-point, empirical).
+  distribution layer: cdf and partial expectation ``E[X 1{X<=x}]``
+  (one array evaluator per law, which the scalar queries call),
+  quantiles (scalar and array forms, equal bit for bit), equal-mass
+  discretization, and the concrete families (normal, reflected gamma,
+  binomial, reflected Pareto, two-point, empirical).
 * :mod:`thqaoa.grover_kernel` -- the amplitude-amplification kernel:
   boosted probability ``P(rho, r)``, the certainty ratio
   ``threshold_ratio(r)``, fine-tuned binary schedules, amplification

@@ -81,7 +81,9 @@ from .grover_kernel import (
 __all__ = ["run", "main"]
 
 #: Most points a generated grid (--r linspace/pow2, --rho geom, --grid N,
-#: --bins) may hold.  Checked before the grid is built.
+#: --bins) may hold, and most amplitudes (round count times cost
+#: classes) the gmqaoa angle search may keep.  Checked before the grid
+#: or the states are built.
 MAX_GRID_POINTS = 10**6
 
 
@@ -404,6 +406,9 @@ def _cmd_gmqaoa(cfg: Dict[str, Any]):
     if not isinstance(dist, DiscreteLaw):
         dist = discretize_equal_mass(dist, cfg["bins"])
     rounds = _parse_rounds(cfg["r"])
+    # The angle search keeps r states of one amplitude per cost class.
+    r_max, classes = max(rounds), dist.spectrum.values.size
+    _check_grid_size(_float_or_inf(r_max * classes), f"--r {r_max} on {classes} cost classes")
     rows = []
     schedule = None
     for r in rounds:
@@ -483,13 +488,12 @@ def _cmd_maxcut(cfg: Dict[str, Any]):
             if n_lo < 1 or n_hi > maxcut.MAX_PART_SIZE:
                 raise ConfigError(f"--n-range must lie within 1,{maxcut.MAX_PART_SIZE}, got {n_range!r}")
             n_values = range(n_lo, n_hi + 1)
-            rounds = maxcut.min_rounds_for_ratios([(n, lam) for n in n_values], bound_kind)
-            rows = [(n, lam, bound_kind, r) for n, r in zip(n_values, rounds)]
         elif cfg["n"] is not None:
-            rows = [(cfg["n"], lam, bound_kind, maxcut.min_rounds_for_ratio(cfg["n"], lam, bound_kind))]
+            n_values = [cfg["n"]]
         else:
             raise ConfigError("minimum-round search needs --n or --n-range")
-        return ("n", "lam", "bound_kind", "r"), rows
+        rounds = maxcut.min_rounds_for_ratios([(n, lam) for n in n_values], bound_kind)
+        return ("n", "lam", "bound_kind", "r"), [(n, lam, bound_kind, r) for n, r in zip(n_values, rounds)]
     if cfg["n_range"] is not None:
         raise ConfigError("--n-range sweeps the --lam round search; spectrum mode takes --n or --graph")
     if cfg["graph"] is not None:

@@ -3,20 +3,21 @@
 This module defines the probability-law interface consumed by every
 formula in the package: the cumulative distribution function ``F``, the
 partial expectation ``G(x) = E[X * 1{X <= x}]`` and quantiles.  Each
-law answers them over arrays in one way only, equal to its scalar
-queries bit for bit: ``quantile_vec`` for quantiles (sampling), and on
-continuous laws ``_search_terms`` for ``(t, F(t), G(t))`` at
-``t = quantile(u)`` (threshold searches, curves and equal-mass
-discretization).
+law computes ``F`` and ``G`` in one place, ``_terms``, over an array of
+thresholds; the scalar ``cdf`` and ``partial_expectation`` are
+``_terms`` of a one-element array, and a continuous law's
+``_search_terms`` is ``_terms`` at ``quantile_vec(u)`` (threshold
+searches, curves and equal-mass discretization).  Quantiles keep a
+scalar and an array form, ``quantile`` and ``quantile_vec``, equal bit
+for bit.
 
 Two families of laws are supported:
 
 * :class:`DiscreteLaw` -- finite support, built on a
   :class:`DiscreteSpectrum` that precomputes prefix sums of mass and of
   value*mass so that every query is a binary search.
-* :class:`ContinuousLaw` -- laws with closed-form ``cdf``,
-  ``partial_expectation`` and ``quantile`` (see
-  :mod:`thqaoa.dist_models`).
+* :class:`ContinuousLaw` -- laws with closed-form ``F``, ``G`` and
+  quantile (see :mod:`thqaoa.dist_models`).
 
 Support bounds use signed-infinity sentinels; both ``F`` and ``G``
 evaluate to 0 at ``-inf``.
@@ -80,9 +81,7 @@ def _math_map(f: Callable[..., float], x: np.ndarray, *args: Iterable[float]) ->
     percent of doubles.  Array code that must equal a scalar ``math``
     computation bit for bit maps ``math`` over the elements instead;
     ``+ - * /``, ``sqrt`` and comparisons are correctly rounded in both and
-    stay numpy.  A law's scalar queries are mapped the same way where an
-    array must equal them.  ``args`` are further iterables, as for
-    :func:`map`.
+    stay numpy.  ``args`` are further iterables, as for :func:`map`.
     """
     return np.fromiter(map(f, x.tolist(), *args), dtype=np.float64, count=x.size)
 
@@ -218,12 +217,17 @@ class Distribution(ABC):
     """A probability law over costs.
 
     Concrete laws expose ``mean``, ``std`` (> 0), extended-real support
-    bounds ``r_min``/``r_max``, the queries ``cdf``,
-    ``partial_expectation`` and ``quantile``, and ``quantile_vec``, which
-    equals ``quantile`` element for element, bit for bit.  The family is
-    the class: :class:`DiscreteLaw` or :class:`ContinuousLaw`.
-    Instances are immutable after construction and safe to share across
-    threads.
+    bounds ``r_min``/``r_max``, ``F`` and ``G`` over an array of
+    thresholds (:meth:`_terms`, the one place each law computes them),
+    and the quantile as ``quantile`` and ``quantile_vec``, which equal
+    each other element for element, bit for bit.  The scalar ``cdf``
+    and ``partial_expectation`` are :meth:`_terms` of a one-element
+    array.  The quantile keeps its scalar form on purpose: the
+    ``crs --method integral`` quadrature asks thousands of scalar
+    normal quantiles per call, and a one-element array costs about
+    eight times the scalar's time there.  The family is the class:
+    :class:`DiscreteLaw` or :class:`ContinuousLaw`.  Instances are
+    immutable after construction and safe to share across threads.
     """
 
     mean: float
@@ -234,12 +238,20 @@ class Distribution(ABC):
     # -- queries -------------------------------------------------------
 
     @abstractmethod
+    def _terms(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(F(t), G(t))`` elementwise over a 1-d float64 array ``t``.
+
+        Each element depends on its own threshold alone, so one
+        threshold gives the same bits in any array.
+        """
+
     def cdf(self, x: float) -> float:
         """F(x) = P(X <= x)."""
+        return float(self._terms(np.array([x], dtype=np.float64))[0][0])
 
-    @abstractmethod
     def partial_expectation(self, x: float) -> float:
         """G(x) = E[X * 1{X <= x}]; equals ``mean`` for x >= r_max."""
+        return float(self._terms(np.array([x], dtype=np.float64))[1][0])
 
     @abstractmethod
     def quantile(self, p: float) -> float:
@@ -280,15 +292,12 @@ class DiscreteLaw(Distribution):
 
     # -- queries -------------------------------------------------------
 
-    def cdf(self, x: float) -> float:
-        """F(x), right-continuous: a prefix lookup."""
-        idx = int(np.searchsorted(self.spectrum.values, x, side="right"))
-        return float(self.spectrum.mass_prefix[idx - 1]) if idx > 0 else 0.0
-
-    def partial_expectation(self, x: float) -> float:
-        """G(x) = E[X * 1{X <= x}]: a prefix lookup."""
-        idx = int(np.searchsorted(self.spectrum.values, x, side="right"))
-        return float(self.spectrum.gain_prefix[idx - 1]) if idx > 0 else 0.0
+    def _terms(self, t):
+        """F and G, right-continuous: prefix lookups."""
+        idx = np.searchsorted(self.spectrum.values, t, side="right")
+        below = idx == 0
+        f = np.where(below, 0.0, self.spectrum.mass_prefix[idx - 1])
+        return f, np.where(below, 0.0, self.spectrum.gain_prefix[idx - 1])
 
     def quantile(self, p: float) -> float:
         """Smallest support value with F >= p, for p in (0, 1)."""
@@ -324,22 +333,22 @@ class DiscreteLaw(Distribution):
 class ContinuousLaw(Distribution):
     """Base class for laws with a density.
 
-    Subclasses supply closed-form ``cdf``, ``partial_expectation`` and
-    ``quantile``, and their one array form of each: ``quantile_vec``
-    and :meth:`_search_terms`.
+    Subclasses supply closed-form ``F`` and ``G`` in :meth:`_terms`, and
+    the quantile as ``quantile`` and ``quantile_vec``.
     """
 
-    @abstractmethod
     def _search_terms(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(t, F(t), G(t))`` at ``t = quantile_vec(u)``, for masses ``u`` in (0, 1).
 
         Each element equals what :meth:`quantile`, :meth:`cdf` and
-        :meth:`partial_expectation` return for it, bit for bit, so that a
-        search run on arrays picks the thresholds a search through the
-        scalar queries picks (``tests/oracles.py`` runs one), and an
-        equal-mass discretization places the atoms the scalar queries
-        place.  The caller checks the domain of ``u``.
+        :meth:`partial_expectation` return for it, bit for bit, so that
+        an array search picks the thresholds a scalar search picks
+        (``tests/oracles.py`` runs one), and an equal-mass discretization
+        places the atoms the scalar queries place.  The caller checks
+        the domain of ``u``.
         """
+        t = self.quantile_vec(u)
+        return (t, *self._terms(t))
 
     def _check_representable(self) -> None:
         """Reject parameters whose moments or quantiles overflow a double.

@@ -1,8 +1,8 @@
 """Concrete distribution models.
 
-Every model ships closed-form ``cdf`` ``F``, partial expectation ``G``
-and quantile, so that sweeps over millions of layer counts stay O(1)
-per query.
+Every model ships closed-form ``F``, partial expectation ``G`` and
+quantile, so that sweeps over millions of layer counts stay O(1) per
+query.
 
 Models
 ------
@@ -90,13 +90,12 @@ class NormalLaw(ContinuousLaw):
         self.r_max = math.inf
         self._check_representable()
 
-    def cdf(self, x: float) -> float:
-        return float(special.ndtr((x - self.u) / self.s))
-
-    def partial_expectation(self, x: float) -> float:
-        z = (x - self.u) / self.s
-        phi = math.exp(-0.5 * z * z) / _SQRT_2PI
-        return self.u * float(special.ndtr(z)) - self.s * phi
+    def _terms(self, t):
+        with np.errstate(all="ignore"):  # inf at |t| near 1e308, silently as Python floats give it
+            z = (t - self.u) / self.s
+            f = special.ndtr(z)
+            phi = _math_map(math.exp, -0.5 * z * z) / _SQRT_2PI
+        return f, self.u * f - self.s * phi
 
     def quantile(self, p: float) -> float:
         self._check_quantile_domain(p)
@@ -105,13 +104,6 @@ class NormalLaw(ContinuousLaw):
     # vectorized
     def quantile_vec(self, p):
         return self.u + self.s * special.ndtri(np.asarray(p, dtype=np.float64))
-
-    def _search_terms(self, u):
-        t = self.quantile_vec(u)
-        z = (t - self.u) / self.s
-        f = special.ndtr(z)
-        phi = _math_map(math.exp, -0.5 * z * z) / _SQRT_2PI
-        return t, f, self.u * f - self.s * phi
 
     # characteristic function (used by the closed-form GM-QAOA expectation)
     def characteristic_function(self, gamma):
@@ -150,29 +142,22 @@ class ReflectedGammaLaw(ContinuousLaw):
         self.r_max = 0.0
         self._check_representable()
 
-    def cdf(self, x: float) -> float:
-        if x >= 0.0:
-            return 1.0
-        y = -self.b * x
-        if y < _MIN_NORMAL:
-            return self._cdf_underflow(x)
-        return float(special.gammaincc(self.a, y))
-
-    def _cdf_underflow(self, x: float) -> float:
-        """F(x) for x < 0 where y = b*|x| underflows: subnormal or 0.
-
-        A subnormal y has lost bits and 0 has lost all of them, so
-        Q(a, y) = 1 - y**a / Gamma(a + 1), its leading term (the next is
-        smaller by a factor of order y), is taken with y**a in logs of b
-        and |x|, which stay exact.
-        """
-        log_y = math.log(self.b) + math.log(-x)
-        return 1.0 - math.exp(self.a * log_y - float(special.gammaln(self.a + 1.0)))
-
-    def partial_expectation(self, x: float) -> float:
-        if x >= 0.0:
-            return self.mean
-        return -(self.a / self.b) * float(special.gammaincc(self.a + 1.0, -self.b * x))
+    def _terms(self, t):
+        inside = ~(t >= 0.0)
+        with np.errstate(all="ignore"):  # inf at t near -1e308, silently as Python floats give it
+            y = -self.b * t[inside]
+        f = np.ones_like(t)
+        f[inside] = special.gammaincc(self.a, y)
+        underflow = np.flatnonzero(inside)[y < _MIN_NORMAL]
+        if underflow.size:
+            # y = b*|t| is subnormal or 0 there, with bits lost: Q(a, y) is
+            # 1 - y**a / Gamma(a + 1), its leading term (the next is smaller
+            # by a factor of order y), with y**a in logs of b and |t|.
+            log_y = math.log(self.b) + _math_map(math.log, -t[underflow])
+            f[underflow] = 1.0 - _math_map(math.exp, self.a * log_y - float(special.gammaln(self.a + 1.0)))
+        g = np.full_like(t, self.mean)
+        g[inside] = -(self.a / self.b) * special.gammaincc(self.a + 1.0, y)
+        return f, g
 
     def quantile(self, p: float) -> float:
         self._check_quantile_domain(p)
@@ -181,18 +166,6 @@ class ReflectedGammaLaw(ContinuousLaw):
     # vectorized
     def quantile_vec(self, p):
         return -special.gammainccinv(self.a, np.asarray(p, dtype=np.float64)) / self.b
-
-    def _search_terms(self, u):
-        t = self.quantile_vec(u)
-        inside = ~(t >= 0.0)
-        y = -self.b * t[inside]
-        f = np.ones_like(t)
-        f[inside] = special.gammaincc(self.a, y)
-        underflow = np.flatnonzero(inside)[y < _MIN_NORMAL]
-        f[underflow] = [self._cdf_underflow(x) for x in t[underflow].tolist()]
-        g = np.full_like(t, self.mean)
-        g[inside] = -(self.a / self.b) * special.gammaincc(self.a + 1.0, y)
-        return t, f, g
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +236,36 @@ class ReflectedParetoLaw(ContinuousLaw):
         self.x_m = float(x_m)
         alpha = self.eps + 2.0
         self.alpha = alpha
+        # G's factors x_m**alpha and y**-(alpha - 1) <= x_m**-(alpha - 1): a
+        # subnormal or zero scale loses G's bits, and an overflow raises.
+        try:
+            in_range = self.x_m**alpha >= _MIN_NORMAL and self.x_m ** -(alpha - 1.0) < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise DomainError(
+                f"reflected pareto needs x_m**(eps + 2) to be a normal double and "
+                f"x_m**-(eps + 1) a finite one, got eps={eps!r}, x_m={x_m!r}"
+            )
         self.mean = -self.x_m * alpha / (alpha - 1.0)
         self.std = self.x_m * math.sqrt(alpha / self.eps) / (alpha - 1.0)
         self.r_min = -math.inf
         self.r_max = -self.x_m
         self._check_representable()
 
-    def cdf(self, x: float) -> float:
-        if x >= -self.x_m:
-            return 1.0
-        return (self.x_m / -x) ** self.alpha
-
-    def partial_expectation(self, x: float) -> float:
-        if x >= -self.x_m:
-            return self.mean
-        return -(self.alpha / (self.alpha - 1.0)) * self.x_m**self.alpha * (-x) ** (-(self.alpha - 1.0))
+    def _terms(self, t):
+        f = np.ones_like(t)
+        g = np.full_like(t, self.mean)
+        inside = ~(t >= -self.x_m)
+        y = -t[inside]
+        # math.pow is the libm pow that Python's float ``**`` calls
+        f[inside] = _math_map(math.pow, self.x_m / y, repeat(self.alpha))
+        g[inside] = (
+            -(self.alpha / (self.alpha - 1.0))
+            * self.x_m**self.alpha
+            * _math_map(math.pow, y, repeat(-(self.alpha - 1.0)))
+        )
+        return f, g
 
     def quantile(self, p: float) -> float:
         self._check_quantile_domain(p)
@@ -285,22 +273,8 @@ class ReflectedParetoLaw(ContinuousLaw):
 
     # vectorized
     def quantile_vec(self, p):
-        # math.pow is the libm pow that the scalar methods' ``**`` calls
+        # math.pow is the libm pow that the scalar ``quantile``'s ``**`` calls
         return -self.x_m * _math_map(math.pow, np.asarray(p, dtype=np.float64), repeat(-1.0 / self.alpha))
-
-    def _search_terms(self, u):
-        t = self.quantile_vec(u)
-        f = np.ones_like(t)
-        g = np.full_like(t, self.mean)
-        inside = ~(t >= -self.x_m)
-        y = -t[inside]
-        f[inside] = _math_map(math.pow, self.x_m / y, repeat(self.alpha))
-        g[inside] = (
-            -(self.alpha / (self.alpha - 1.0))
-            * self.x_m**self.alpha
-            * _math_map(math.pow, y, repeat(-(self.alpha - 1.0)))
-        )
-        return t, f, g
 
 
 # ---------------------------------------------------------------------------

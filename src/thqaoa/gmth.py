@@ -26,11 +26,10 @@ while ``asin`` and ``sin`` are :mod:`math`'s, mapped over the elements
 -- numpy's own differ from libm in the last bit on a few percent of
 doubles.  So each element depends on its own terms
 alone, and equals :func:`grover_probability` composed by hand.  The
-law terms equal the scalar queries too: a discrete law's prefix
-tables, a continuous law's ``_search_terms`` (its one array query for
-``F`` and ``G``), or the scalar ``cdf`` and ``partial_expectation``
-themselves.  So every curve point equals
-:func:`expectation_at_threshold`.
+law terms come from the law's one evaluator of ``F`` and ``G``,
+``_terms`` (through ``_search_terms`` in the searches), or from a
+discrete law's prefix tables, which hold the same values.  So every
+curve point equals :func:`expectation_at_threshold`.
 
 There is one threshold search, :func:`optimize_thresholds`;
 :func:`optimize_threshold` is a batch of one.  On a continuous law it
@@ -153,16 +152,17 @@ def expectation_at_threshold(dist: Distribution, r: int, t: float) -> float:
     otherwise.
     """
     r = _check_rounds(r)
-    rho, g = np.array([dist.cdf(t)]), np.array([dist.partial_expectation(t)])
+    rho, g = dist._terms(np.array([t], dtype=np.float64))
     return float(_expectations(dist.mean, rho, g, threshold_ratio(r), 2.0 * r + 1.0)[0])
 
 
 def threshold_report(dist: Distribution, r: int, t: float) -> ThresholdReport:
     """Evaluate one threshold and assemble the full scorecard."""
     r = _check_rounds(r)
-    e_r = expectation_at_threshold(dist, r, t)
+    ts = np.array([t], dtype=np.float64)
+    rho, g = dist._terms(ts)
     rho_th, k = _round_terms([r])
-    return _reports(dist, [r], rho_th, k, np.array([float(t)]), np.array([dist.cdf(t)]), np.array([e_r]))[0]
+    return _reports(dist, [r], rho_th, k, ts, rho, _expectations(dist.mean, rho, g, rho_th, k))[0]
 
 
 def _round_terms(rounds: List[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -189,8 +189,8 @@ def _reports(
     :func:`grover_probability`'s formula with :mod:`math`'s ``asin`` and
     ``sin`` mapped over the elements, and the rest is correctly rounded
     arithmetic, so every field equals the scalar computation's; the law
-    is queried once per report, for ``quantile = F(E_r)``.  Every report
-    of this module is assembled here.
+    is queried once, for every report's ``quantile = F(E_r)``.  Every
+    report of this module is assembled here.
     """
     s = _math_map(math.sin, k * _math_map(math.asin, np.sqrt(rho)))
     p = np.where((rho >= rho_th) & (rho > 0.0), 1.0, s * s)  # rho > 0 as in grover_probability
@@ -200,7 +200,7 @@ def _reports(
     eta = np.minimum(np.divide(p, rho, out=cap.copy(), where=rho > 0.0), cap)
     mu, r_min = dist.mean, dist.r_min
     lam = (e_r / r_min).tolist() if math.isfinite(r_min) and r_min != 0.0 else [None] * len(rounds)
-    columns = (t, t - mu, rho, p, e_r, (mu - e_r) / dist.std, _math_map(dist.cdf, e_r), eta)
+    columns = (t, t - mu, rho, p, e_r, (mu - e_r) / dist.std, dist._terms(e_r)[0], eta)
     return [
         ThresholdReport(*fields)
         for fields in zip(rounds, *(column.tolist() for column in columns), lam)
@@ -254,10 +254,8 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
 
     Every expectation equals :func:`expectation_at_threshold` at its
     threshold bit for bit, and every ``F`` the law's ``cdf``: the law
-    terms come from the prefix tables, one ``_search_terms`` call, or
-    (for an explicit list) the scalar ``cdf`` and
-    ``partial_expectation`` at each threshold, and :func:`_expectations`
-    evaluates them.
+    terms of the whole grid come from one ``_terms`` call, and one
+    :func:`_expectations` call evaluates them.
     """
     r = _check_rounds(r)
     if isinstance(grid_spec, str):
@@ -266,8 +264,6 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
         if not isinstance(dist, DiscreteLaw):
             raise DomainError("'support' grids need a discrete law")
         ts = dist.spectrum.values.copy()
-        rho = dist.spectrum.mass_prefix.copy()
-        g = dist.spectrum.gain_prefix
     elif isinstance(grid_spec, (int, np.integer)) and not isinstance(grid_spec, bool):
         n = int(grid_spec)
         if n < 2:
@@ -275,15 +271,12 @@ def threshold_curve(dist: Distribution, r: int, grid_spec: GridSpec) -> Threshol
         if isinstance(dist, DiscreteLaw):
             raise DomainError("integer F-grids are for continuous laws; use 'support'")
         # The last point, u = 1, is the all-marked limit t = inf.
-        ts, rho, g = dist._search_terms(np.geomspace(1e-14, 1.0, n)[:-1])
-        ts = np.append(ts, math.inf)
-        rho = np.append(rho, dist.cdf(math.inf))
-        g = np.append(g, dist.partial_expectation(math.inf))
+        ts = np.append(dist.quantile_vec(np.geomspace(1e-14, 1.0, n)[:-1]), math.inf)
     else:
         ts = np.sort(np.asarray(list(grid_spec), dtype=np.float64))
         if ts.size == 0:
             raise DomainError("threshold grid must not be empty")
-        rho, g = _math_map(dist.cdf, ts), _math_map(dist.partial_expectation, ts)
+    rho, g = dist._terms(ts)
     e = _expectations(dist.mean, rho, g, threshold_ratio(r), 2.0 * r + 1.0)
     scores = (dist.mean - e) / dist.std
     return ThresholdCurve(r=r, thresholds=ts, f_values=rho, expectations=e, scores=scores)

@@ -304,7 +304,10 @@ def min_rounds_for_ratio(n: int, lam: float, bound_kind: str = "max_amplificatio
       depend on the law alone.  At ``lam = 1`` this branch returns the
       closed form ``ceil(2^{(2n-3)/2})``, the smallest r with
       ``(2r)^2`` amplified draws covering the ``M / 2`` solutions per
-      optimal assignment, without building the spectrum.
+      optimal assignment, without building the spectrum.  That count can
+      be one more than the first r at which the floor itself reaches
+      ratio 1: n = 2 gives 2 where ``lam = 0.999`` gives 1, and n = 5
+      gives 12 where the floor is 1 from r = 11.
     * ``"gmth"`` -- the optimized threshold expectation, as the discrete
       scan of :func:`~thqaoa.gmth.optimize_threshold` finds it; at
       ``lam = 1`` this is the smallest r whose amplification window

@@ -6,9 +6,11 @@ enumeration, literal subset sums -- so the library's closed forms,
 collapsed representations, and vectorized recurrences are checked
 against slower but structurally simpler computations.  Nothing in this
 module imports the library's numerical routines; the law classes are
-inspected for their raw parameters, and the scalar threshold search
-queries a law's own ``cdf``, ``partial_expectation`` and ``quantile``,
-which the law tests check against the quadratures here.
+inspected for their raw parameters.  The scalar threshold search
+takes ``F`` and ``G`` from :func:`scalar_cdf` and
+:func:`scalar_partial_expectation`, the closed forms written one
+threshold at a time, and quantiles from the law's own scalar
+``quantile``, which the law tests check against the quadratures here.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from thqaoa.dist_models import NormalLaw, ReflectedGammaLaw, ReflectedParetoLaw
 
@@ -105,6 +108,55 @@ def quantile_root(law, p: float) -> float:
     """Quantile by root-finding on the quadrature cdf."""
     lo, hi = _support_window(law)
     return float(optimize.brentq(lambda x: cdf_quad(law, x) - p, lo, hi, xtol=1e-12))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form F and G, one threshold at a time
+# ---------------------------------------------------------------------------
+
+
+def scalar_cdf(law, x: float) -> float:
+    """F(x) in Python floats, one threshold at a time.
+
+    The bodies of the laws' scalar ``cdf`` from before each law computed
+    ``F`` and ``G`` in one array method (``_terms``): the array path must
+    equal these in ``float.hex``.  A law with a ``spectrum`` is discrete.
+    """
+    if isinstance(law, NormalLaw):
+        return float(special.ndtr((x - law.u) / law.s))
+    if isinstance(law, ReflectedGammaLaw):
+        if x >= 0.0:
+            return 1.0
+        y = -law.b * x
+        if y < sys.float_info.min:
+            # Q(a, y) = 1 - y**a / Gamma(a + 1), its leading term, in logs
+            log_y = math.log(law.b) + math.log(-x)
+            return 1.0 - math.exp(law.a * log_y - float(special.gammaln(law.a + 1.0)))
+        return float(special.gammaincc(law.a, y))
+    if isinstance(law, ReflectedParetoLaw):
+        if x >= -law.x_m:
+            return 1.0
+        return (law.x_m / -x) ** law.alpha
+    idx = int(np.searchsorted(law.spectrum.values, x, side="right"))
+    return float(law.spectrum.mass_prefix[idx - 1]) if idx > 0 else 0.0
+
+
+def scalar_partial_expectation(law, x: float) -> float:
+    """G(x) = E[X 1{X <= x}] in Python floats, as :func:`scalar_cdf` gives F."""
+    if isinstance(law, NormalLaw):
+        z = (x - law.u) / law.s
+        phi = math.exp(-0.5 * z * z) / _SQRT_2PI
+        return law.u * float(special.ndtr(z)) - law.s * phi
+    if isinstance(law, ReflectedGammaLaw):
+        if x >= 0.0:
+            return law.mean
+        return -(law.a / law.b) * float(special.gammaincc(law.a + 1.0, -law.b * x))
+    if isinstance(law, ReflectedParetoLaw):
+        if x >= -law.x_m:
+            return law.mean
+        return -(law.alpha / (law.alpha - 1.0)) * law.x_m**law.alpha * (-x) ** (-(law.alpha - 1.0))
+    idx = int(np.searchsorted(law.spectrum.values, x, side="right"))
+    return float(law.spectrum.gain_prefix[idx - 1]) if idx > 0 else 0.0
 
 
 def normal_conditional_mean(u: float, s: float, p: float) -> float:
@@ -238,10 +290,10 @@ def threshold_expectation_reference(law, r: int) -> Callable[[float], float]:
     k = 2.0 * r + 1.0
 
     def expectation(t: float) -> float:
-        rho = law.cdf(t)
+        rho = scalar_cdf(law, t)
         if rho <= 0.0 or rho >= 1.0:
             return mu
-        g_y = law.partial_expectation(t) - mu * rho
+        g_y = scalar_partial_expectation(law, t) - mu * rho
         if rho >= rho_th:
             return mu + g_y / rho
         s = math.sin(k * math.asin(math.sqrt(rho)))
@@ -264,7 +316,8 @@ def threshold_optimum_reference(law, r: int) -> tuple:
 
     Returns the fields of ``gmth.ThresholdReport`` in order: ``(r, t,
     t - mu, rho, P, E_r, C_r, quantile, eta, lam)``, each computed at
-    the winning threshold from the law's scalar queries.
+    the winning threshold from :func:`scalar_cdf` and the law's scalar
+    ``quantile``.
     """
     expectation = threshold_expectation_reference(law, r)
     rho_th = _threshold_ratio(r)
@@ -287,14 +340,14 @@ def threshold_optimum_reference(law, r: int) -> tuple:
                 best_u, best_e = u, e
         t = law.quantile(best_u)
     mu = law.mean
-    rho = law.cdf(t)
+    rho = scalar_cdf(law, t)
     e_r = expectation(t)
     s = math.sin((2.0 * r + 1.0) * math.asin(math.sqrt(rho)))
     p = 1.0 if rho >= rho_th else s * s
     cap = float((2 * r + 1) ** 2)
     eta = min(p / rho, cap) if rho > 0.0 else cap
     lam = e_r / law.r_min if math.isfinite(law.r_min) and law.r_min != 0.0 else None
-    return (r, t, t - mu, rho, p, e_r, (mu - e_r) / law.std, law.cdf(e_r), eta, lam)
+    return (r, t, t - mu, rho, p, e_r, (mu - e_r) / law.std, scalar_cdf(law, e_r), eta, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +404,7 @@ def floor_terms_reference(law, r: int) -> Tuple[float, float, float]:
         g1 = law.spectrum.gain_prefix.tolist()[idx]
         return values[idx], tau2, g1 * den + tau2 * (1.0 - prefix[idx] * den)
     tau1 = law.quantile(cap)
-    return tau1, tau1, law.partial_expectation(tau1) * den
+    return tau1, tau1, scalar_partial_expectation(law, tau1) * den
 
 
 def knn_min_rounds_reference(

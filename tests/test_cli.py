@@ -575,6 +575,61 @@ def test_minus_infinity_threshold_with_equals_form(capsys):
     assert "--t=-inf" in out
 
 
+_REPORT_LINE = ",".join(REPORT_HEADER) + "\n"
+
+
+# Thresholds at the double range, where the laws' F and G overflow their
+# intermediates (the normal's z*z, the gamma's b*|t|) to inf silently, as
+# Python floats do; the bytes are those of the scalar queries.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["threshold", "--dist", "normal:0,1", "--r", "1", "--t", "1e308"],
+         _REPORT_LINE + "1,1e+308,1e+308,1.0,1.0,0.0,0.0,0.5,1.0,\n"),
+        (["threshold", "--dist", "normal:0,1", "--r", "1", "--t=-1e308"],
+         _REPORT_LINE + "1,-1e+308,-1e+308,0.0,0.0,0.0,0.0,0.5,9.0,\n"),
+        (["threshold", "--dist", "gamma:0.5,2", "--r", "1", "--t", "1e308"],
+         _REPORT_LINE + "1,1e+308,1e+308,1.0,1.0,-0.25,0.0,0.31731050786291115,1.0,\n"),
+        (["threshold", "--dist", "gamma:0.5,2", "--r", "1", "--t=-1e308"],
+         _REPORT_LINE + "1,-1e+308,-1e+308,0.0,0.0,-0.25,0.0,0.31731050786291115,9.0,\n"),
+        (["curve", "--dist", "gamma:0.5,2", "--r", "1", "--grid", "list:-1e308,-1"],
+         "r,t,f_t,e_r,c_r\n1,-1e+308,0.0,-0.25,0.0\n"
+         "1,-1.0,0.04550026389635857,-0.6426220805155929,1.1105029423045853\n"),
+    ],
+    ids=["normal-top", "normal-bottom", "gamma-top", "gamma-bottom", "gamma-curve"],
+)
+def test_thresholds_at_the_double_range_run_silently(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # reflected Pareto scales whose G leaves the double range
+        ["threshold", "--dist", "pareto:18,1e-20", "--r", "1"],
+        ["threshold", "--dist", "pareto:18,1e200", "--r", "1"],
+        ["threshold", "--dist", "pareto:0.5,1e-150", "--r", "1"],
+        ["threshold", "--dist", "pareto:18,1e-16", "--r", "1"],
+        # angle searches whose states (r times the cost classes) pass MAX_GRID_POINTS
+        ["gmqaoa", "--dist", "normal:0,1", "--bins", "10", "--r", "1" + "0" * 30, "--restarts", "1"],
+        ["gmqaoa", "--dist", "normal:0,1", "--bins", "10", "--r", "100000000000", "--restarts", "1"],
+        ["gmqaoa", "--dist", "normal:0,1", "--bins", "10", "--r", "1,100001", "--restarts", "1"],
+    ],
+)
+def test_out_of_range_inputs_are_one_config_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config: ") and err.count("\n") == 1, err
+
+
+def test_maxcut_one_size_is_the_range_of_one(capsys):
+    for kind in ("max_amplification", "gmth"):
+        for lam in ("0.9", "1"):
+            one = run_cli(capsys, "maxcut", "--n", "7", "--lam", lam, "--bound-kind", kind)
+            ranged = run_cli(capsys, "maxcut", "--n-range", "7,7", "--lam", lam, "--bound-kind", kind)
+            assert one == ranged and one[0] == 0
+
+
 def test_numerical_error_exits_three(capsys, monkeypatch):
     def explode(cfg):
         raise NumericalError("synthetic instability")

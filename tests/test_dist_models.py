@@ -1,6 +1,7 @@
 """Concrete law families: moments, closed forms, factories, file loading."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -102,7 +103,7 @@ def test_reflected_gamma_cdf_where_rate_times_x_underflows(x):
     t, f, _ = law._search_terms(u)
     assert 0.0 < -law.b * t[0] < sys.float_info.min <= -law.b * t[1]
     assert f[0] == pytest.approx(exact(t[0]), rel=1e-15, abs=0.0)
-    assert [v.hex() for v in f.tolist()] == [law.cdf(v).hex() for v in t.tolist()]
+    assert [v.hex() for v in f.tolist()] == [oracles.scalar_cdf(law, v).hex() for v in t.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,28 @@ def test_reflected_pareto_cdf_and_mean():
     pdf = oracles.reference_pdf(law)
     mean_quad, _ = integrate.quad(lambda x: x * pdf(x), -np.inf, -x_m, limit=300)
     assert law.mean == pytest.approx(mean_quad, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "eps, x_m, accepted",
+    [
+        (18.0, 1e-20, False),  # x_m**-19 overflows
+        (18.0, 1e200, False),  # x_m**20 overflows
+        (0.5, 1e-150, False),  # x_m**2.5 underflows to 0
+        (18.0, 1e-16, False),  # x_m**20 = 1e-320 is subnormal
+        (18.0, 1e-15, True),
+        (18.0, 1e15, True),
+        (0.05, 1e-150, True),  # x_m**2.05 is about 3e-308, a normal double
+    ],
+)
+def test_reflected_pareto_rejects_a_scale_whose_powers_leave_the_double_range(eps, x_m, accepted):
+    if accepted:
+        law = make_reflected_pareto(eps, x_m)
+        t = np.array([-x_m * 1.5, -x_m * 1e10, -math.inf])
+        assert np.isfinite(law._terms(t)[1]).all()
+        return
+    with pytest.raises(DomainError, match=re.escape(f"eps={eps!r}, x_m={x_m!r}")):
+        make_reflected_pareto(eps, x_m)
 
 
 def test_pareto_helpers():
@@ -251,6 +274,54 @@ def test_empirical_from_file_reports_line(tmp_path):
         with pytest.raises(DomainError) as err:
             empirical_from_file(str(path))
         assert f"{path}:2:" in str(err.value), line
+
+
+# ---------------------------------------------------------------------------
+# F and G: each law's one array evaluator against the scalar formulas
+# ---------------------------------------------------------------------------
+
+_TERMS_LAWS = {
+    "normal": lambda: make_normal(0.0, 1.0),
+    "gamma-a0.005": lambda: make_reflected_gamma(0.005, 0.5),
+    "gamma-a50": lambda: make_reflected_gamma(50.0, 0.5),
+    "pareto-eps18": lambda: make_reflected_pareto(18.0, 1.0),
+    "pareto-eps0.05": lambda: make_reflected_pareto(0.05, 1.0),
+    "binomial": lambda: make_binomial(200, 0.47),
+}
+
+
+def _terms_thresholds(law, rng, each=5000):
+    """Over 20,000 thresholds: the double range's edges, the support
+    edge, the gamma's underflow region, quantiles, the law's own scale
+    and doubles of every exponent."""
+    tiny, top = 5e-324, sys.float_info.max
+    edge = -law.x_m if hasattr(law, "x_m") else law.mean
+    special = [math.inf, -math.inf, 0.0, -0.0, tiny, -tiny, 1e308, -1e308, top, -top,
+               sys.float_info.min, -sys.float_info.min, edge, law.mean]
+    special += [_nudge(edge, k, d) for k in (1, 2, 1000) for d in (math.inf, -math.inf)]
+    quantiles = law.quantile_vec(np.geomspace(tiny, 1.0 - 2.0**-53, each))
+    scaled = law.mean + law.std * rng.standard_normal(each) * 10.0 ** rng.uniform(-3.0, 3.0, each)
+    # |t| up to a few times the smallest normal: b*|t| underflows on the gammas
+    underflow = np.ldexp(rng.uniform(-4.0, 4.0, each), rng.integers(-1074, -1021, each))
+    bits = rng.integers(0, 2**64, 2 * each, dtype=np.uint64).view(np.float64)
+    t = np.concatenate((special, quantiles, scaled, underflow, bits[np.isfinite(bits)][:each]))
+    assert t.size >= 20_000
+    return t
+
+
+@pytest.mark.parametrize("name", list(_TERMS_LAWS))
+def test_terms_equal_the_scalar_formulas_bit_for_bit(name):
+    law = _TERMS_LAWS[name]()
+    t = _terms_thresholds(law, np.random.default_rng(7))
+    f, g = law._terms(t)
+    expected_f = [oracles.scalar_cdf(law, x).hex() for x in t.tolist()]
+    expected_g = [oracles.scalar_partial_expectation(law, x).hex() for x in t.tolist()]
+    assert [v.hex() for v in f.tolist()] == expected_f
+    assert [v.hex() for v in g.tolist()] == expected_g
+    # the scalar queries are _terms of one threshold
+    for i in range(0, t.size, 97):
+        x = float(t[i])
+        assert (law.cdf(x).hex(), law.partial_expectation(x).hex()) == (expected_f[i], expected_g[i]), x
 
 
 # ---------------------------------------------------------------------------

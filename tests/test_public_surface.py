@@ -67,9 +67,11 @@ def test_benchmark_tracer_installs_counts_and_restores(tmp_path):
     tracer.install()
     try:
         assert tracer._restore, "the tracer replaced nothing"
-        out = tmp_path / "rounds.csv"
+        out = tmp_path / "out.csv"
         assert cli.run(["maxcut", "--n", "6", "--lam", "0.9", "--out", str(out)]) == 0
-        assert tracer.counts["maxcut.search_calls"] == 1
+        assert cli.run(["threshold", "--dist", "normal:0,1", "--r", "2", "--out", str(out)]) == 0
+        assert tracer.counts["cli.calls"] == 2
+        assert tracer.counts["gmth.optimize_calls"] == 1
     finally:
         tracer.uninstall()
     after = _snapshot()
