@@ -223,9 +223,10 @@ class Distribution(ABC):
     each other element for element, bit for bit.  The scalar ``cdf``
     and ``partial_expectation`` are :meth:`_terms` of a one-element
     array.  The quantile keeps its scalar form on purpose: the
-    ``crs --method integral`` quadrature asks thousands of scalar
-    normal quantiles per call, and a one-element array costs about
-    eight times the scalar's time there.  The family is the class:
+    ``crs --method integral`` quadrature asks about 2,400 scalar normal
+    quantiles per call, and a one-element array costs about ten times
+    the scalar per quantile (2.4 against 0.25 microseconds, numpy 2.4.6
+    on a 2-core Xeon host).  The family is the class:
     :class:`DiscreteLaw` or :class:`ContinuousLaw`.  Instances are
     immutable after construction and safe to share across threads.
     """

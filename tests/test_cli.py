@@ -622,14 +622,6 @@ def test_out_of_range_inputs_are_one_config_error_line(capsys, argv):
     assert err.startswith("error: config: ") and err.count("\n") == 1, err
 
 
-def test_maxcut_one_size_is_the_range_of_one(capsys):
-    for kind in ("max_amplification", "gmth"):
-        for lam in ("0.9", "1"):
-            one = run_cli(capsys, "maxcut", "--n", "7", "--lam", lam, "--bound-kind", kind)
-            ranged = run_cli(capsys, "maxcut", "--n-range", "7,7", "--lam", lam, "--bound-kind", kind)
-            assert one == ranged and one[0] == 0
-
-
 def test_numerical_error_exits_three(capsys, monkeypatch):
     def explode(cfg):
         raise NumericalError("synthetic instability")
