@@ -13,7 +13,7 @@ Contents:
   Its report also carries the universal score cap ``2 sqrt(r(r+1))``.
   Its array core ``_floor_terms`` takes many round counts in one pass
   (one ``searchsorted`` over the caps ``1/(2r+1)^2`` on a discrete law,
-  one ``_search_terms`` call on a continuous one); it serves the
+  one ``_terms`` call on a continuous one); it serves the
   reports, fig7, and the K_{n,n} round searches, which step the floors
   of many laws at once and need no more than the floor.
 * :func:`grover_based_min_rounds_exact` -- rounds needed before the
@@ -190,8 +190,9 @@ def _floor_terms(
     once).  Each element equals the scalar formula of the docstring
     above in Python floats, bit for bit: a discrete law's ``tau1`` comes
     from a ``searchsorted`` of its prefix table at the cap
-    ``1/(2r+1)^2``, a continuous law's from one ``_search_terms`` call,
-    which equals its ``quantile`` and ``partial_expectation``.
+    ``1/(2r+1)^2``, a continuous law's from one ``_terms`` call at the
+    caps' quantiles, which equals its ``quantile`` and
+    ``partial_expectation``.
     """
     rounds = [_check_rounds(r) for r in rounds]
     # inf where (2r+1)**2 passes the double range, past r ~ 6.7e153; the cap is 0 there
@@ -203,7 +204,8 @@ def _floor_terms(
             raise DomainError(
                 f"a continuous law's floor takes round counts up to about 6.7e153; got r = {rounds[empty[0]]}"
             )
-        tau1, _, g1 = dist._search_terms(cap)
+        tau1 = dist.quantile_vec(cap)
+        _, g1 = dist._terms(tau1)
         return tau1, tau1.copy(), g1 * den
     if isinstance(dist, DiscreteLaw):
         spectrum = dist.spectrum

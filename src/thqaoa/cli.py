@@ -81,10 +81,13 @@ from .grover_kernel import (
 __all__ = ["run", "main"]
 
 #: Most points a generated grid (--r linspace/pow2, --rho geom, --grid N,
-#: --bins) may hold, and most amplitudes (round count times cost
-#: classes) the gmqaoa angle search may keep.  Checked before the grid
-#: or the states are built.
+#: --bins) may hold.  Checked before the grid is built.
 MAX_GRID_POINTS = 10**6
+
+#: Most bytes the gmqaoa angle search's states may take.  Its gradient
+#: keeps two complex128 arrays of r amplitudes per cost class, 32 bytes
+#: an amplitude (its measured peak).  Checked before they are built.
+_ANGLE_SEARCH_BYTES = 2**31
 
 
 def _check_grid_size(points: float, what: str) -> None:
@@ -406,9 +409,12 @@ def _cmd_gmqaoa(cfg: Dict[str, Any]):
     if not isinstance(dist, DiscreteLaw):
         dist = discretize_equal_mass(dist, cfg["bins"])
     rounds = _parse_rounds(cfg["r"])
-    # The angle search keeps r states of one amplitude per cost class.
     r_max, classes = max(rounds), dist.spectrum.values.size
-    _check_grid_size(_float_or_inf(r_max * classes), f"--r {r_max} on {classes} cost classes")
+    if 32 * r_max * classes > _ANGLE_SEARCH_BYTES:
+        raise ConfigError(
+            f"--r {r_max} on {classes} cost classes needs {_float_or_inf(32 * r_max * classes) / 2**30:.3g} GiB "
+            f"of angle-search states; the limit is {_ANGLE_SEARCH_BYTES // 2**30} GiB"
+        )
     rows = []
     schedule = None
     for r in rounds:

@@ -5,11 +5,10 @@ formula in the package: the cumulative distribution function ``F``, the
 partial expectation ``G(x) = E[X * 1{X <= x}]`` and quantiles.  Each
 law computes ``F`` and ``G`` in one place, ``_terms``, over an array of
 thresholds; the scalar ``cdf`` and ``partial_expectation`` are
-``_terms`` of a one-element array, and a continuous law's
-``_search_terms`` is ``_terms`` at ``quantile_vec(u)`` (threshold
-searches, curves and equal-mass discretization).  Quantiles keep a
-scalar and an array form, ``quantile`` and ``quantile_vec``, equal bit
-for bit.
+``_terms`` of a one-element array, and threshold searches, curves and
+equal-mass discretization take ``_terms`` at ``quantile_vec(u)``.
+Quantiles keep a scalar and an array form, ``quantile`` and
+``quantile_vec``, equal bit for bit.
 
 Two families of laws are supported:
 
@@ -243,7 +242,12 @@ class Distribution(ABC):
         """``(F(t), G(t))`` elementwise over a 1-d float64 array ``t``.
 
         Each element depends on its own threshold alone, so one
-        threshold gives the same bits in any array.
+        threshold gives the same bits in any array: ``_terms`` at
+        ``quantile_vec(u)`` equals :meth:`quantile`, :meth:`cdf` and
+        :meth:`partial_expectation` bit for bit, an array search picks
+        the thresholds a scalar search picks (``tests/oracles.py`` runs
+        one), and an equal-mass discretization places the atoms the
+        scalar queries place.
         """
 
     def cdf(self, x: float) -> float:
@@ -338,19 +342,6 @@ class ContinuousLaw(Distribution):
     the quantile as ``quantile`` and ``quantile_vec``.
     """
 
-    def _search_terms(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(t, F(t), G(t))`` at ``t = quantile_vec(u)``, for masses ``u`` in (0, 1).
-
-        Each element equals what :meth:`quantile`, :meth:`cdf` and
-        :meth:`partial_expectation` return for it, bit for bit, so that
-        an array search picks the thresholds a scalar search picks
-        (``tests/oracles.py`` runs one), and an equal-mass discretization
-        places the atoms the scalar queries place.  The caller checks
-        the domain of ``u``.
-        """
-        t = self.quantile_vec(u)
-        return (t, *self._terms(t))
-
     def _check_representable(self) -> None:
         """Reject parameters whose moments or quantiles overflow a double.
 
@@ -390,7 +381,7 @@ def discretize_equal_mass(dist: Distribution, bins: int = 10_000) -> DiscreteLaw
         raise DomainError("discretize_equal_mass expects a continuous law")
     if bins < 2:
         raise DomainError("bins must be at least 2")
-    _, _, inner_gains = dist._search_terms(np.arange(1, bins) / bins)
+    _, inner_gains = dist._terms(dist.quantile_vec(np.arange(1, bins) / bins))
     gains = np.concatenate(([0.0], inner_gains, [dist.mean]))
     values = np.diff(gains) * bins
     masses = np.full(bins, 1.0 / bins)

@@ -236,16 +236,22 @@ class ReflectedParetoLaw(ContinuousLaw):
         self.x_m = float(x_m)
         alpha = self.eps + 2.0
         self.alpha = alpha
-        # G's factors x_m**alpha and y**-(alpha - 1) <= x_m**-(alpha - 1): a
-        # subnormal or zero scale loses G's bits, and an overflow raises.
+        # G's factors are _g_scale and y**-(alpha - 1) <= x_m**-(alpha - 1):
+        # a subnormal or zero x_m**alpha loses G's bits, and an overflow
+        # raises or gives -inf.
         try:
-            in_range = self.x_m**alpha >= _MIN_NORMAL and self.x_m ** -(alpha - 1.0) < math.inf
+            self._g_scale = -(alpha / (alpha - 1.0)) * self.x_m**alpha
+            in_range = (
+                self.x_m**alpha >= _MIN_NORMAL
+                and self._g_scale > -math.inf
+                and self.x_m ** -(alpha - 1.0) < math.inf
+            )
         except OverflowError:
             in_range = False
         if not in_range:
             raise DomainError(
-                f"reflected pareto needs x_m**(eps + 2) to be a normal double and "
-                f"x_m**-(eps + 1) a finite one, got eps={eps!r}, x_m={x_m!r}"
+                f"reflected pareto needs x_m**(eps + 2) to be a normal double, and "
+                f"(eps + 2)/(eps + 1) times it and x_m**-(eps + 1) finite ones, got eps={eps!r}, x_m={x_m!r}"
             )
         self.mean = -self.x_m * alpha / (alpha - 1.0)
         self.std = self.x_m * math.sqrt(alpha / self.eps) / (alpha - 1.0)
@@ -260,11 +266,7 @@ class ReflectedParetoLaw(ContinuousLaw):
         y = -t[inside]
         # math.pow is the libm pow that Python's float ``**`` calls
         f[inside] = _math_map(math.pow, self.x_m / y, repeat(self.alpha))
-        g[inside] = (
-            -(self.alpha / (self.alpha - 1.0))
-            * self.x_m**self.alpha
-            * _math_map(math.pow, y, repeat(-(self.alpha - 1.0)))
-        )
+        g[inside] = self._g_scale * _math_map(math.pow, y, repeat(-(self.alpha - 1.0)))
         return f, g
 
     def quantile(self, p: float) -> float:

@@ -27,8 +27,8 @@ while ``asin`` and ``sin`` are :mod:`math`'s, mapped over the elements
 doubles.  So each element depends on its own terms
 alone, and equals :func:`grover_probability` composed by hand.  The
 law terms come from the law's one evaluator of ``F`` and ``G``,
-``_terms`` (through ``_search_terms`` in the searches), or from a
-discrete law's prefix tables, which hold the same values.  So every
+``_terms`` (at ``quantile_vec`` of the masses in the searches), or
+from a discrete law's prefix tables, which hold the same values.  So every
 curve point equals :func:`expectation_at_threshold`.
 
 There is one threshold search, :func:`optimize_thresholds`;
@@ -420,7 +420,7 @@ def _optimize_continuous_batch(
     mu = law.mean
 
     def e_at(u: np.ndarray, idx: Union[slice, np.ndarray]) -> np.ndarray:
-        _, rho, g = law._search_terms(u)
+        rho, g = law._terms(law.quantile_vec(u))
         return _expectations(mu, rho, g, rho_th[idx], k[idx])
 
     def value_at(v: np.ndarray, idx: Union[slice, np.ndarray]) -> np.ndarray:
@@ -461,7 +461,7 @@ def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[Thres
     on a discrete law one scan takes the candidates of every round
     (:func:`_optimize_discrete`).  The reports are then assembled from
     what the searches hold -- the winning threshold, its marked mass (one
-    ``_search_terms`` query of the winning masses, or the prefix table)
+    ``_terms`` query at the winning masses' quantiles, or the prefix table)
     and its expectation -- with no round rechecked and no ``cdf(t)`` or
     ``partial_expectation(t)`` queried again.
     Each report depends on its own round count alone: it is the same
@@ -476,7 +476,8 @@ def optimize_thresholds(dist: Distribution, rounds: Iterable[int]) -> List[Thres
         t, rho, e_r = _optimize_discrete(dist.spectrum, dist.mean, rounds)
     else:
         u, e_r = _optimize_continuous_batch(dist, rounds, rho_th, k)
-        t, rho, _ = dist._search_terms(u)
+        t = dist.quantile_vec(u)
+        rho, _ = dist._terms(t)
     return _reports(dist, rounds, rho_th, k, t, rho, e_r)
 
 

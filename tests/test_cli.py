@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -610,16 +611,32 @@ def test_thresholds_at_the_double_range_run_silently(capsys, argv, expected):
         ["threshold", "--dist", "pareto:18,1e200", "--r", "1"],
         ["threshold", "--dist", "pareto:0.5,1e-150", "--r", "1"],
         ["threshold", "--dist", "pareto:18,1e-16", "--r", "1"],
-        # angle searches whose states (r times the cost classes) pass MAX_GRID_POINTS
+        ["threshold", "--dist", "pareto:0.05,2e150", "--r", "1"],
+        # angle searches whose states (32 bytes times r times the cost classes) pass 2 GiB
         ["gmqaoa", "--dist", "normal:0,1", "--bins", "10", "--r", "1" + "0" * 30, "--restarts", "1"],
         ["gmqaoa", "--dist", "normal:0,1", "--bins", "10", "--r", "100000000000", "--restarts", "1"],
-        ["gmqaoa", "--dist", "normal:0,1", "--bins", "10", "--r", "1,100001", "--restarts", "1"],
+        ["gmqaoa", "--dist", "normal:0,1", "--bins", "16", "--r", f"1,{2**22 + 1}", "--restarts", "1"],
     ],
 )
 def test_out_of_range_inputs_are_one_config_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: config: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "bins, r, code",
+    [("16", 2**22, 0), ("16", 2**22 + 1, 2), ("10000", 101, 0), ("1000000", 67, 0), ("1000000", 68, 2)],
+)
+def test_gmqaoa_state_limit_is_two_gib(capsys, monkeypatch, bins, r, code):
+    # 32 bytes an amplitude, r amplitudes per cost class: 2**26 amplitudes in all
+    def search(dist, r, **kwargs):
+        assert dist.spectrum.values.size == int(bins)
+        return SimpleNamespace(r=r), dist.mean
+
+    monkeypatch.setattr(cli.gmqaoa, "optimize_angles", search)
+    got, _, err = run_cli(capsys, "gmqaoa", "--dist", "normal:0,1", "--bins", bins, "--r", str(r))
+    assert got == code, err
 
 
 def test_numerical_error_exits_three(capsys, monkeypatch):

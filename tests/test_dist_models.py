@@ -100,7 +100,8 @@ def test_reflected_gamma_cdf_where_rate_times_x_underflows(x):
     # next mass below F(x) has its quantile in the same region (F(x) itself
     # can map to -0.0 at x = -5e-324, where b*|t| is 0 only by rounding).
     u = np.array([math.nextafter(law.cdf(x), 0.0), 0.5])
-    t, f, _ = law._search_terms(u)
+    t = law.quantile_vec(u)
+    f, _ = law._terms(t)
     assert 0.0 < -law.b * t[0] < sys.float_info.min <= -law.b * t[1]
     assert f[0] == pytest.approx(exact(t[0]), rel=1e-15, abs=0.0)
     assert [v.hex() for v in f.tolist()] == [oracles.scalar_cdf(law, v).hex() for v in t.tolist()]
@@ -146,6 +147,7 @@ def test_reflected_pareto_cdf_and_mean():
         (18.0, 1e200, False),  # x_m**20 overflows
         (0.5, 1e-150, False),  # x_m**2.5 underflows to 0
         (18.0, 1e-16, False),  # x_m**20 = 1e-320 is subnormal
+        (0.05, 2e150, False),  # x_m**2.05 is finite, (2.05/1.05) * x_m**2.05 overflows
         (18.0, 1e-15, True),
         (18.0, 1e15, True),
         (0.05, 1e-150, True),  # x_m**2.05 is about 3e-308, a normal double
@@ -283,10 +285,12 @@ def test_empirical_from_file_reports_line(tmp_path):
 _TERMS_LAWS = {
     "normal": lambda: make_normal(0.0, 1.0),
     "gamma-a0.005": lambda: make_reflected_gamma(0.005, 0.5),
+    "gamma-a0.5": lambda: make_reflected_gamma(0.5, 0.5),
     "gamma-a50": lambda: make_reflected_gamma(50.0, 0.5),
     "pareto-eps18": lambda: make_reflected_pareto(18.0, 1.0),
     "pareto-eps0.05": lambda: make_reflected_pareto(0.05, 1.0),
     "binomial": lambda: make_binomial(200, 0.47),
+    "knn12": lambda: knn_spectrum(12),
 }
 
 

@@ -200,11 +200,11 @@ def test_report_field_identities():
     rep = threshold_report(law, r, t)
     assert rep.r == r and rep.t_opt == t
     assert rep.T == pytest.approx(t - law.mean, abs=1e-12)
-    assert rep.rho == law.cdf(t)
+    assert rep.rho == oracles.scalar_cdf(law, t)
     assert rep.P == grover_probability(rep.rho, r)
     assert rep.eta == pytest.approx(rep.P / rep.rho, abs=1e-14)
     assert rep.E_r == pytest.approx(law.mean - rep.C_r * law.std, abs=1e-9)
-    assert rep.quantile == law.cdf(rep.E_r)
+    assert rep.quantile == oracles.scalar_cdf(law, rep.E_r)
     assert rep.lam == pytest.approx(rep.E_r / law.spectrum.values[0], abs=1e-12)
 
 
@@ -267,10 +267,12 @@ def test_curve_integer_grid_on_continuous_law():
 def test_curve_points_equal_scalar_expectation_bit_for_bit(law, grid):
     for r in (1, 3, 100, 10**6):
         curve = threshold_curve(law, r, grid)
+        reference = oracles.threshold_expectation_reference(law, r)
         points = zip(curve.thresholds.tolist(), curve.f_values.tolist(), curve.expectations.tolist())
         for t, f, e in points:
-            scalar = (law.cdf(t), expectation_at_threshold(law, r, t))
-            assert (f.hex(), e.hex()) == (scalar[0].hex(), scalar[1].hex()), (r, t)
+            # against the scalar formulas, and the public one-threshold query
+            assert (f.hex(), e.hex()) == (oracles.scalar_cdf(law, t).hex(), reference(t).hex()), (r, t)
+            assert e.hex() == expectation_at_threshold(law, r, t).hex(), (r, t)
 
 
 def test_curve_nan_threshold_behaves_as_the_scalar_query():
@@ -509,15 +511,14 @@ def test_batch_golden_section_equals_scalar_bit_for_bit(brackets, plateaus, tol)
 def test_search_terms_equal_scalar_queries_bit_for_bit(law, exponents):
     u = 10.0 ** np.array(exponents)
     u = u[(u > 0.0) & (u < 1.0)]
-    t, f, g = law._search_terms(u)
-    q = law.quantile_vec(u)
-    for ui, ti, fi, gi, qi in zip(u.tolist(), t.tolist(), f.tolist(), g.tolist(), q.tolist()):
+    t = law.quantile_vec(u)
+    f, g = law._terms(t)
+    for ui, ti, fi, gi in zip(u.tolist(), t.tolist(), f.tolist(), g.tolist()):
         tq = law.quantile(ui)
-        assert (ti.hex(), fi.hex(), gi.hex(), qi.hex()) == (
+        assert (ti.hex(), fi.hex(), gi.hex()) == (
             tq.hex(),
             oracles.scalar_cdf(law, tq).hex(),
             oracles.scalar_partial_expectation(law, tq).hex(),
-            tq.hex(),
         ), ui
 
 

@@ -16,7 +16,7 @@ import os
 import pkgutil
 
 import thqaoa
-from thqaoa import cli
+from thqaoa import cli, maxcut
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -70,8 +70,10 @@ def test_benchmark_tracer_installs_counts_and_restores(tmp_path):
         out = tmp_path / "out.csv"
         assert cli.run(["maxcut", "--n", "6", "--lam", "0.9", "--out", str(out)]) == 0
         assert cli.run(["threshold", "--dist", "normal:0,1", "--r", "2", "--out", str(out)]) == 0
+        assert maxcut.min_rounds_for_ratio(6, 0.9) is not None
         assert tracer.counts["cli.calls"] == 2
         assert tracer.counts["gmth.optimize_calls"] == 1
+        assert tracer.counts["maxcut.search_calls"] == 1
     finally:
         tracer.uninstall()
     after = _snapshot()
