@@ -9,7 +9,8 @@ form, what a Grover-mixer schedule can achieve on it:
   (one array evaluator per law, which the scalar queries call),
   quantiles (scalar and array forms, equal bit for bit), equal-mass
   discretization, and the concrete families (normal, reflected gamma,
-  binomial, reflected Pareto, two-point, empirical).
+  reflected Pareto, and exact integer-count laws: empirical, binomial
+  and two-point, the last two over their parameter's dyadic expansion).
 * :mod:`thqaoa.grover_kernel` -- the amplitude-amplification kernel:
   boosted probability ``P(rho, r)``, the certainty ratio
   ``threshold_ratio(r)``, fine-tuned binary schedules, amplification
@@ -49,7 +50,6 @@ from .bounds import (
     BoundReport,
     c_th,
     c_ths,
-    grover_based_min_rounds_exact,
     kappa,
     max_amplification_floor,
     quantile_sandwich,
@@ -63,12 +63,10 @@ from .dist_core import (
     discretize_equal_mass,
 )
 from .dist_models import (
-    BinomialLaw,
     EmpiricalLaw,
     NormalLaw,
     ReflectedGammaLaw,
     ReflectedParetoLaw,
-    TwoPointLaw,
     empirical_from_file,
     make_binomial,
     make_empirical,
@@ -138,9 +136,7 @@ __all__ = [
     "discretize_equal_mass",
     "NormalLaw",
     "ReflectedGammaLaw",
-    "BinomialLaw",
     "ReflectedParetoLaw",
-    "TwoPointLaw",
     "EmpiricalLaw",
     "make_normal",
     "make_reflected_gamma",
@@ -181,7 +177,6 @@ __all__ = [
     "c_th",
     "c_ths",
     "max_amplification_floor",
-    "grover_based_min_rounds_exact",
     "quantile_sandwich",
     "simulated_amplification",
     # Max-Cut application

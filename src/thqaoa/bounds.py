@@ -10,14 +10,14 @@ Contents:
   by a two-point law; :func:`c_ths` searches many round counts at once.
 * :func:`max_amplification_floor` -- the expectation floor obtained by
   granting every low-cost state the maximal amplification ``(2r+1)^2``.
-  Its report also carries the universal score cap ``2 sqrt(r(r+1))``.
+  Its report also carries the universal score cap ``2 sqrt(r(r+1))``
+  and, on a discrete law, the rounds needed before the optimum can be
+  measured with probability 1, decided in integers.
   Its array core ``_floor_terms`` takes many round counts in one pass
   (one ``searchsorted`` over the caps ``1/(2r+1)^2`` on a discrete law,
   one ``_terms`` call on a continuous one); it serves the
   reports, fig7, and the K_{n,n} round searches, which step the floors
   of many laws at once and need no more than the floor.
-* :func:`grover_based_min_rounds_exact` -- rounds needed before the
-  optimum can even be measured with probability 1.
 * :func:`quantile_sandwich` -- the asymptotic two-sided envelope of the
   quantile reached by the optimized expectation.
 * :func:`simulated_amplification` -- measured per-class amplification
@@ -46,7 +46,6 @@ __all__ = [
     "c_th",
     "c_ths",
     "max_amplification_floor",
-    "grover_based_min_rounds_exact",
     "quantile_sandwich",
     "simulated_amplification",
 ]
@@ -268,27 +267,18 @@ def _floor_reports(
     return reports
 
 
-def grover_based_min_rounds_exact(f_min: float) -> int:
-    """Rounds below which no Grover-based schedule can reach the optimum
-    with certainty: smallest integer r >= (1/sqrt(f_min) - 1)/2.
-    """
-    if not 0.0 < f_min <= 1.0:
-        raise DomainError(f"optimum mass must lie in (0, 1], got {f_min!r}")
-    return max(0, math.ceil(0.5 * (1.0 / math.sqrt(f_min) - 1.0) - 1e-12))
-
-
 def _grover_min_rounds_of_law(dist: DiscreteLaw) -> int:
-    """:func:`grover_based_min_rounds_exact` of the law's optimum mass.
-
-    For an :class:`EmpiricalLaw` the count is exact at any size: the
-    smallest r with ``(2r+1)^2 * c0 >= N``, with ``c0`` the multiplicity
-    of the minimum and ``N`` the total count, found with ``math.isqrt``.
-    The float formula, whose square root goes wrong once the count
-    passes about 2^50, serves the other discrete laws.
+    """Rounds below which no Grover-based schedule can reach the optimum
+    with certainty: the smallest r with ``(2r+1)^2 * c0 >= N``, found
+    with ``math.isqrt``, for the optimum mass ``c0 / N`` as the counts of
+    an :class:`EmpiricalLaw` or else (``discretize_equal_mass`` output)
+    the float mass's own exact ratio.
     """
-    if not isinstance(dist, EmpiricalLaw):
-        return grover_based_min_rounds_exact(dist.min_mass())
-    need = -(-dist.total_count // dist.multiplicities[0])  # (2r+1)^2 >= ceil(N / c0)
+    if isinstance(dist, EmpiricalLaw):
+        c0, total = dist.multiplicities[0], dist.total_count
+    else:
+        c0, total = dist.min_mass().as_integer_ratio()
+    need = -(-total // c0)  # (2r+1)^2 >= ceil(N / c0)
     root = math.isqrt(need)
     side = root if root * root == need else root + 1  # smallest s with s^2 >= need
     return side // 2  # smallest r with 2r + 1 >= side

@@ -158,7 +158,9 @@ def _spectrum_from_multiplicities(
     and each entry is one int/int true division, which CPython rounds
     correctly: even masses around 1e-180 (huge solution-space counts)
     keep full relative precision.  A multiplicity that is not a positive
-    integer, such as 1.5 or nan, raises ``DomainError``.
+    integer, such as 1.5 or nan, raises ``DomainError``, and so does a
+    mass that underflows to 0: the atom would sit in the support with
+    no mass, and the minimum's mass would read 0.
     """
     v = np.asarray(values, dtype=np.float64)
     try:
@@ -176,6 +178,10 @@ def _spectrum_from_multiplicities(
         return np.array([k / denominator for k in numerators], dtype=np.float64)
 
     masses = ratios(mults, total)
+    empty = np.flatnonzero(masses == 0.0)
+    if empty.size:
+        k = int(empty[0])
+        raise DomainError(f"the mass at k={k} underflows to 0 (value {float(v[k])!r})")
     mass_prefix = ratios(accumulate(mults), total)
     gain_prefix = ratios(accumulate(map(mul, scaled, mults)), den * total)
     mass_suffix = ratios(list(accumulate(reversed(mults)))[::-1], total)

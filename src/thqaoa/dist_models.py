@@ -1,26 +1,29 @@
 """Concrete distribution models.
 
-Every model ships closed-form ``F``, partial expectation ``G`` and
-quantile, so that sweeps over millions of layer counts stay O(1) per
-query.
+Every continuous model ships closed-form ``F``, partial expectation
+``G`` and quantile, so that sweeps over millions of layer counts stay
+O(1) per query.
 
 Models
 ------
 * :class:`NormalLaw` -- location/scale normal.
 * :class:`ReflectedGammaLaw` -- the negative of a Gamma(shape a, rate b)
   variate; support (-inf, 0).
-* :class:`BinomialLaw` -- Binomial(n, p) counts on {0, ..., n}.
 * :class:`ReflectedParetoLaw` -- the negative of a Pareto variate with
   tail index eps + 2; support (-inf, -x_m].  The family's interest is
   that the standard-score growth exponent of threshold schedules on it
   can be dialed via ``eps``.
-* :class:`TwoPointLaw` -- mass rho at -1 and 1 - rho at 0; the extremal
-  law for standard-score bounds.
 * :class:`EmpiricalLaw` -- exact (value, multiplicity) spectra with
   arbitrary-precision counts.  Its spectrum and moments are built in
   integer arithmetic (values scaled to integers over one power of two)
   and rounded once per entry, so they equal the exact rational results
   correctly rounded to float64.
+
+The binomial and two-point factories build exact laws too, from p's
+dyadic expansion ``p = m / D``: Binomial(n, p) has the counts
+``C(n, k) m^k (D - m)^(n - k)`` out of ``D^n`` on {0, ..., n}, and the
+two-point law (the extremal one for standard-score bounds) ``m`` at -1
+and ``D - m`` at 0.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, List, Tuple
 
@@ -37,7 +40,6 @@ import numpy as np
 from .dist_core import (
     ContinuousLaw,
     DiscreteLaw,
-    DiscreteSpectrum,
     _lazy_import,
     _math_map,
     _spectrum_from_multiplicities,
@@ -49,9 +51,7 @@ special = _lazy_import("scipy.special")
 __all__ = [
     "NormalLaw",
     "ReflectedGammaLaw",
-    "BinomialLaw",
     "ReflectedParetoLaw",
-    "TwoPointLaw",
     "EmpiricalLaw",
     "make_normal",
     "make_reflected_gamma",
@@ -169,54 +169,6 @@ class ReflectedGammaLaw(ContinuousLaw):
 
 
 # ---------------------------------------------------------------------------
-# Binomial
-# ---------------------------------------------------------------------------
-
-
-class BinomialLaw(DiscreteLaw):
-    """Binomial(n, p) on support {0, ..., n}.
-
-    Masses are computed in log space (gammaln-based) and exponentiated,
-    which keeps full relative precision even in the far tails at
-    n = 200 where masses reach ~1e-61.  A mass that underflows to 0
-    raises ``DomainError``: dropping the atom would move the support
-    minimum.
-    """
-
-    def __init__(self, n: int, p: float):
-        # The range test comes first: it also rejects nan and inf, which
-        # int() cannot take, and keeps the support arrays bounded.
-        if not (1 <= n <= MAX_BINOMIAL_TRIALS) or int(n) != n:
-            raise DomainError(
-                f"binomial trials must be an integer in [1, {MAX_BINOMIAL_TRIALS}], got {n!r}"
-            )
-        if not (0.0 < p < 1.0):
-            raise DomainError(f"binomial success probability must lie in (0, 1), got {p!r}")
-        self.n = int(n)
-        self.p = float(p)
-        k = np.arange(self.n + 1, dtype=np.float64)
-        log_pmf = (
-            special.gammaln(self.n + 1.0)
-            - special.gammaln(k + 1.0)
-            - special.gammaln(self.n - k + 1.0)
-            + k * math.log(self.p)
-            + (self.n - k) * math.log1p(-self.p)
-        )
-        masses = np.exp(log_pmf)
-        empty = np.flatnonzero(~(masses > 0.0))
-        if empty.size:
-            raise DomainError(
-                f"binomial law with n={self.n}, p={self.p!r}: the mass at k={empty[0]} underflows to 0"
-            )
-        spectrum = DiscreteSpectrum.from_masses(k, masses)
-        super().__init__(
-            spectrum,
-            mean=self.n * self.p,
-            std=math.sqrt(self.n * self.p * (1.0 - self.p)),
-        )
-
-
-# ---------------------------------------------------------------------------
 # Reflected Pareto
 # ---------------------------------------------------------------------------
 
@@ -280,19 +232,8 @@ class ReflectedParetoLaw(ContinuousLaw):
 
 
 # ---------------------------------------------------------------------------
-# Two-point and empirical laws
+# Empirical laws
 # ---------------------------------------------------------------------------
-
-
-class TwoPointLaw(DiscreteLaw):
-    """Mass ``rho`` at -1 and ``1 - rho`` at 0, for rho in (0, 1)."""
-
-    def __init__(self, rho: float):
-        if not (0.0 < rho < 1.0):
-            raise DomainError(f"two-point ratio must lie in (0, 1), got {rho!r}")
-        self.rho = float(rho)
-        spectrum = DiscreteSpectrum.from_masses([-1.0, 0.0], [self.rho, 1.0 - self.rho])
-        super().__init__(spectrum, mean=-self.rho, std=math.sqrt(self.rho * (1.0 - self.rho)))
 
 
 class EmpiricalLaw(DiscreteLaw):
@@ -312,7 +253,8 @@ class EmpiricalLaw(DiscreteLaw):
     by a power of four before the division and its root multiplied by
     the matching power of two; both scalings are exact, so the standard
     deviation, at most half the value range, is the same as if the
-    variance had fit.
+    variance had fit.  :func:`make_binomial` and :func:`make_two_point`
+    build their laws here from exact counts as well.
     """
 
     def __init__(self, pairs: Iterable[Tuple[float, int]]):
@@ -352,9 +294,24 @@ def make_reflected_gamma(a: float, b: float) -> ReflectedGammaLaw:
     return ReflectedGammaLaw(a, b)
 
 
-def make_binomial(n: int, p: float) -> BinomialLaw:
-    """Binomial law with n trials and success probability p."""
-    return BinomialLaw(n, p)
+def make_binomial(n: int, p: float) -> EmpiricalLaw:
+    """Binomial law with n trials and success probability p = m / D, from
+    the counts ``C(n, k) m^k (D - m)^(n - k)``, each the one before it
+    times ``(n - k + 1) m / (k (D - m))``, an exact integer division."""
+    # The range test comes first: it also rejects nan and inf, which
+    # int() cannot take, and keeps the support bounded.
+    if not (1 <= n <= MAX_BINOMIAL_TRIALS) or int(n) != n:
+        raise DomainError(f"binomial trials must be an integer in [1, {MAX_BINOMIAL_TRIALS}], got {n!r}")
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"binomial success probability must lie in (0, 1), got {p!r}")
+    n, p = int(n), float(p)
+    m, den = p.as_integer_ratio()
+    q = den - m
+    counts = accumulate(range(1, n + 1), lambda c, k: c * (n - k + 1) * m // (k * q), initial=q**n)
+    try:
+        return EmpiricalLaw(zip(range(n + 1), counts))
+    except DomainError as exc:
+        raise DomainError(f"binomial law with n={n}, p={p!r}: {exc}") from None
 
 
 def make_reflected_pareto(eps: float, x_m: float) -> ReflectedParetoLaw:
@@ -362,9 +319,13 @@ def make_reflected_pareto(eps: float, x_m: float) -> ReflectedParetoLaw:
     return ReflectedParetoLaw(eps, x_m)
 
 
-def make_two_point(rho: float) -> TwoPointLaw:
-    """Two-point law with mass rho at -1 and 1 - rho at 0."""
-    return TwoPointLaw(rho)
+def make_two_point(rho: float) -> EmpiricalLaw:
+    """Two-point law with mass rho at -1 and 1 - rho at 0, from the
+    counts ``m`` and ``D - m`` with ``rho = m / D``."""
+    if not (0.0 < rho < 1.0):
+        raise DomainError(f"two-point ratio must lie in (0, 1), got {rho!r}")
+    m, den = float(rho).as_integer_ratio()
+    return EmpiricalLaw([(-1.0, m), (0.0, den - m)])
 
 
 def make_empirical(pairs: Iterable[Tuple[float, int]]) -> EmpiricalLaw:

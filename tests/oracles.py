@@ -564,6 +564,29 @@ def fraction_spectrum(values: Sequence[float], counts: Sequence[int]) -> Dict[st
     }
 
 
+def binomial_spectrum(n: int, p: float) -> Dict[str, object]:
+    """Masses, prefix/suffix sums, mean and std of Binomial(n, p), exactly.
+
+    With ``p = m / d`` written exactly (``float.as_integer_ratio``), k
+    successes have the count ``comb(n, k) * m**k * (d - m)**(n - k)`` out
+    of ``d**n``.  Every entry is one int/int true division, so it is the
+    exact rational value rounded once; the mean ``n m / d`` and the
+    variance ``n m (d - m) / d**2`` are rounded once, the std is the
+    variance's square root.
+    """
+    m, d = float(p).as_integer_ratio()
+    total = d**n
+    counts = [math.comb(n, k) * m**k * (d - m) ** (n - k) for k in range(n + 1)]
+    return {
+        "masses": [c / total for c in counts],
+        "mass_prefix": [c / total for c in itertools.accumulate(counts)],
+        "gain_prefix": [g / total for g in itertools.accumulate(k * c for k, c in enumerate(counts))],
+        "mass_suffix": [c / total for c in itertools.accumulate(reversed(counts))][::-1],
+        "mean": n * m / d,
+        "std": math.sqrt(n * m * (d - m) / d**2),
+    }
+
+
 def grover_min_rounds_reference(c0: int, total: int) -> int:
     """Smallest r >= 0 with (2r+1)^2 * c0 >= total, by integer bisection."""
     lo, hi = -1, 1  # the predicate fails at lo (r = -1 is a sentinel)

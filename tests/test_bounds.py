@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from thqaoa import bounds, cli, gmqaoa
 from thqaoa.bounds import (
     c_th,
     c_ths,
-    grover_based_min_rounds_exact,
     kappa,
     max_amplification_floor,
     quantile_sandwich,
     simulated_amplification,
 )
+from thqaoa.dist_core import discretize_equal_mass
 from thqaoa.dist_models import (
     make_binomial,
     make_empirical,
@@ -189,7 +190,7 @@ def test_floor_report_fields():
     rep_l = max_amplification_floor(law, 3, L=L)
     assert rep_l.quantile_bounds == pytest.approx((L / 36.0, L * math.pi**2 / 144.0))
     assert rep.min_rounds_exact == min_rounds_exact_opt(law)
-    assert rep.min_rounds_grover == grover_based_min_rounds_exact(0.125)
+    assert rep.min_rounds_grover == 1  # (2r+1)^2 / 8 >= 1 from r = 1
 
 
 _FLOOR_ROUNDS = [1, 10**6, 10**160, 2**1020]
@@ -239,17 +240,21 @@ def test_floor_terms_of_many_spectra_equal_per_r_reference():
 
 
 def test_grover_min_rounds_formula():
-    assert grover_based_min_rounds_exact(1.0) == 0
-    assert grover_based_min_rounds_exact(1.0 / 9.0) == 1
-    assert grover_based_min_rounds_exact(1.0 / 25.0) == 2
+    # optimum masses 1/9 and 1/25 as counts: (2r+1)^2 * mass reaches 1
+    # exactly at r = 1 and r = 2
+    assert bounds._grover_min_rounds_of_law(make_empirical([(0.0, 1), (1.0, 8)])) == 1
+    assert bounds._grover_min_rounds_of_law(make_empirical([(0.0, 1), (1.0, 24)])) == 2
     for f in (0.9, 0.3, 0.01, 1e-7):
-        r_star = grover_based_min_rounds_exact(f)
-        assert (2 * r_star + 1) ** 2 * f >= 1.0 - 1e-9
-        if r_star > 0:
-            assert (2 * (r_star - 1) + 1) ** 2 * f < 1.0
-    for bad in (0.0, -0.1, 1.1):
-        with pytest.raises(DomainError):
-            grover_based_min_rounds_exact(bad)
+        law = make_two_point(f)
+        c0, total = law.multiplicities[0], law.total_count
+        assert Fraction(c0, total) == Fraction(f)
+        r_star = bounds._grover_min_rounds_of_law(law)
+        assert r_star >= 1  # (2r+1)^2 * c0 >= total, and not one round sooner
+        assert (2 * r_star + 1) ** 2 * c0 >= total > (2 * r_star - 1) ** 2 * c0, f
+    # float masses (equal-mass discretization): the mass's own ratio, 1/16
+    law = discretize_equal_mass(make_normal(0.0, 1.0), bins=16)
+    assert law.min_mass() == 1.0 / 16.0
+    assert bounds._grover_min_rounds_of_law(law) == 2
 
 
 def test_grover_min_rounds_exact_for_knn_laws():

@@ -452,6 +452,25 @@ def test_empirical_law_whose_variance_overflows_runs(capsys, tmp_path, magnitude
     assert float(report["c_r"]) == 1.0  # one round marks the lower atom with certainty
 
 
+def test_empirical_law_with_an_underflowing_mass_exits_two(capsys, tmp_path):
+    # the mass at 0.0 is 1 / (1 + 2**1101), below the smallest subnormal:
+    # kept, it would read as an optimum of mass 0
+    path = tmp_path / "underflow.csv"
+    path.write_text(f"0.0,1\n1.0,{2**1100}\n2.0,{2**1100}\n")
+    code, out, err = run_cli(capsys, "bound", "--dist", f"empirical:{path}", "--r", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the mass at k=0 underflows to 0" in err
+
+
+@pytest.mark.parametrize("n", [755, 898, 904, 1043])
+def test_binomial_laws_at_one_half_build_up_to_the_trial_cap(capsys, n):
+    # every mass C(n, k) / 2**n is at least 2**-1074: none underflows
+    code, out, err = run_cli(capsys, "sweep", "--dist", f"binomial:{n},0.5", "--r", "1,10,100")
+    assert (code, err) == (0, "")
+    assert len(parse_csv(out)[1]) == 3
+
+
 # At r = 10^200 the amplification cap (2r+1)^2 passes the double range and
 # threshold_ratio(r) underflows to 0.  Each command prints its rows, or one
 # error line where a continuous law's quantile would be taken at mass 0.

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,25 @@ def test_binomial_matches_scipy_pmf():
     assert law.spectrum.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+_EXACT_FIELDS = ("masses", "mass_prefix", "gain_prefix", "mass_suffix", "mean", "std")
+
+
+def _exact_fields(law):
+    arrays = {name: getattr(law.spectrum, name).tolist() for name in _EXACT_FIELDS[:4]}
+    return {**arrays, "mean": law.mean, "std": law.std}
+
+
+@pytest.mark.parametrize("n, p", [(200, 0.5), (200, 0.47), (30, 0.4), (755, 0.5), (1043, 0.5)])
+def test_binomial_masses_and_moments_are_correctly_rounded(n, p):
+    # every entry equals the exact rational value rounded once, bit for bit
+    law = make_binomial(n, p)
+    assert law.spectrum.values.tolist() == list(range(n + 1))
+    ref = oracles.binomial_spectrum(n, p)
+    got = _exact_fields(law)
+    for name in _EXACT_FIELDS:
+        assert np.array(got[name]).tobytes() == np.array(ref[name]).tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Reflected Pareto
 # ---------------------------------------------------------------------------
@@ -184,6 +204,21 @@ def test_two_point_moments():
         assert law.std == pytest.approx(math.sqrt(rho * (1.0 - rho)))
         assert law.cdf(-1.0) == pytest.approx(rho)
         assert law.cdf(0.0) == 1.0
+
+
+@pytest.mark.parametrize("rho", [0.2, 0.25, 0.3, 1e-7, 0.9, 5e-324, 1.0 - 2.0**-53])
+def test_two_point_masses_and_moments_are_correctly_rounded(rho):
+    law = make_two_point(rho)
+    exact, rest = Fraction(rho), float(1 - Fraction(rho))
+    assert law.spectrum.values.tolist() == [-1.0, 0.0]
+    assert _exact_fields(law) == {
+        "masses": [rho, rest],
+        "mass_prefix": [rho, 1.0],
+        "gain_prefix": [-rho, -rho],
+        "mass_suffix": [1.0, rest],
+        "mean": -rho,
+        "std": math.sqrt(exact * (1 - exact)),
+    }
 
 
 def test_empirical_exact_big_multiplicities():

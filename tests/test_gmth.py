@@ -564,7 +564,7 @@ def test_golden_section_optima_bit_pinned():
 _PINNED_REPRODUCE_SHA256 = {
     "fig1": "cb6408bdd28a598c7cc6b8b66f97da129c253afc01fbe0eadd0fd01941974a44",
     "fig2": "63013586fc2681fb4433ad6c154141856b475e171596ad23f70a3d63db7880a5",
-    "fig5": "53acc7469db8b421684e2d3179b91096282f8972f1e263291d8b74aea427188c",
+    "fig5": "9459057a21d00d5cdb90ccd0badc22506c7a04101c98dcaf82fabeae7b674526",
     "fig7": "188e741296ffea84aa6a2907f41ed368e0aa044f37c5bbc10f8deac10273a22b",
     "fig8": "c32ef603fb0f246a25d93a85a787715acb2771c1d74157da18c2f06726e9b497",
 }
