@@ -40,6 +40,8 @@ DISCRETE_LAWS = [
     make_two_point(0.2),
     make_empirical([(-2.0, 3), (-0.5, 5), (1.0, 2), (2.5, 6)]),
 ]
+# Every discrete law is an EmpiricalLaw, so the cases are named by their factory.
+DISCRETE_IDS = ["BinomialLaw", "TwoPointLaw", "EmpiricalLaw"]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,7 @@ def test_continuous_queries_match_quadrature(law):
         assert law.quantile(p) == pytest.approx(oracles.quantile_root(law, p), abs=1e-7)
 
 
-@pytest.mark.parametrize("law", DISCRETE_LAWS, ids=lambda l: type(l).__name__)
+@pytest.mark.parametrize("law", DISCRETE_LAWS, ids=DISCRETE_IDS)
 def test_discrete_cdf_right_continuous_step(law):
     values = law.spectrum.values
     prefix = law.spectrum.mass_prefix
@@ -112,7 +114,9 @@ def test_discrete_cdf_right_continuous_step(law):
 
 
 @pytest.mark.parametrize(
-    "law", CONTINUOUS_LAWS + DISCRETE_LAWS, ids=lambda l: type(l).__name__
+    "law",
+    CONTINUOUS_LAWS + DISCRETE_LAWS,
+    ids=[type(l).__name__ for l in CONTINUOUS_LAWS] + DISCRETE_IDS,
 )
 def test_partial_expectation_saturates_at_mean(law):
     hi = law.r_max if math.isfinite(law.r_max) else law.quantile(1.0 - 1e-13)
