@@ -11,6 +11,8 @@ form, what a Grover-mixer schedule can achieve on it:
   discretization, and the concrete families (normal, reflected gamma,
   reflected Pareto, and exact integer-count laws: empirical, binomial
   and two-point, the last two over their parameter's dyadic expansion).
+  Every discrete law, equal-mass discretizations included, is built
+  from exact integer counts, with masses ``c/N`` correctly rounded.
 * :mod:`thqaoa.grover_kernel` -- the amplitude-amplification kernel:
   boosted probability ``P(rho, r)``, the certainty ratio
   ``threshold_ratio(r)``, fine-tuned binary schedules, amplification

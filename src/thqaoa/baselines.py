@@ -78,7 +78,6 @@ def _discrete_expected_min(dist: DiscreteLaw, k: int) -> float:
     values = dist.spectrum.values
     survival = np.concatenate((dist.spectrum.mass_suffix, [0.0]))
     # P(min = x_i) = P(all draws >= x_i) - P(all draws >= x_{i+1}).
-    survival = np.clip(survival, 0.0, 1.0)
     powers = survival**k
     return float(np.dot(values, powers[:-1] - powers[1:]))
 

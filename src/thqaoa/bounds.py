@@ -34,7 +34,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum, Distribution, _math_map
-from .dist_models import EmpiricalLaw
 from .errors import DomainError
 from .gmqaoa import PhaseFunction, simulate
 from .gmth import _golden_section_argmin_batch, _round_terms, min_rounds_exact_opt
@@ -270,14 +269,10 @@ def _floor_reports(
 def _grover_min_rounds_of_law(dist: DiscreteLaw) -> int:
     """Rounds below which no Grover-based schedule can reach the optimum
     with certainty: the smallest r with ``(2r+1)^2 * c0 >= N``, found
-    with ``math.isqrt``, for the optimum mass ``c0 / N`` as the counts of
-    an :class:`EmpiricalLaw` or else (``discretize_equal_mass`` output)
-    the float mass's own exact ratio.
+    with ``math.isqrt`` on the law's exact counts (optimum mass
+    ``c0 / N``).
     """
-    if isinstance(dist, EmpiricalLaw):
-        c0, total = dist.multiplicities[0], dist.total_count
-    else:
-        c0, total = dist.min_mass().as_integer_ratio()
+    c0, total = dist.multiplicities[0], dist.total_count
     need = -(-total // c0)  # (2r+1)^2 >= ceil(N / c0)
     root = math.isqrt(need)
     side = root if root * root == need else root + 1  # smallest s with s^2 >= need

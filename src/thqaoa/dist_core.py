@@ -12,9 +12,13 @@ Quantiles keep a scalar and an array form, ``quantile`` and
 
 Two families of laws are supported:
 
-* :class:`DiscreteLaw` -- finite support, built on a
+* :class:`DiscreteLaw` -- finite support, built from exact integer
+  counts (every discrete law: empirical, binomial, two-point, K_{n,n} and
+  equal-mass discretizations, whose merged runs are pooled counts) on a
   :class:`DiscreteSpectrum` that precomputes prefix sums of mass and of
-  value*mass so that every query is a binary search.
+  value*mass so that every query is a binary search.  The masses
+  ``c/N``, their prefix and suffix sums and the mean are the exact
+  rationals, correctly rounded.
 * :class:`ContinuousLaw` -- laws with closed-form ``F``, ``G`` and
   quantile (see :mod:`thqaoa.dist_models`).
 
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 from types import ModuleType
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,10 +49,6 @@ __all__ = [
     "ContinuousLaw",
     "discretize_equal_mass",
 ]
-
-#: Total-mass consistency tolerance for discrete spectra.
-MASS_TOLERANCE = 1e-12
-
 
 def _lazy_import(name: str) -> ModuleType:
     """Module ``name``, executed on its first attribute access.
@@ -94,21 +94,25 @@ def _math_map(f: Callable[..., float], x: np.ndarray, *args: Iterable[float]) ->
 class DiscreteSpectrum:
     """A finite cost spectrum with precomputed prefix sums.
 
+    Every entry is an exact rational rounded once to float64: a
+    :class:`DiscreteLaw` builds it from integer counts ``c_i`` out of
+    ``N = sum(c_i)``.
+
     Attributes
     ----------
     values:
         Strictly ascending cost values (float64).
     masses:
-        Positive probability masses aligned with ``values``; they sum to
-        1 within :data:`MASS_TOLERANCE`.
+        Positive probability masses ``c_i / N`` aligned with ``values``.
     mass_prefix / gain_prefix:
         ``mass_prefix[i] = sum(masses[: i + 1])`` and
         ``gain_prefix[i] = sum(values[: i + 1] * masses[: i + 1])``, so
-        ``F(x)`` and ``G(x)`` are prefix lookups.
+        ``F(x)`` and ``G(x)`` are prefix lookups; ``mass_prefix[-1]`` is
+        exactly 1.
     mass_suffix:
-        ``mass_suffix[i] = sum(masses[i:])``, summed right to left, so
-        ``P(X >= values[i])`` avoids the cancellation in ``1 - F`` when
-        ``F`` is close to 1.
+        ``mass_suffix[i] = sum(masses[i:])``, so ``P(X >= values[i])``
+        avoids the cancellation in ``1 - F`` when ``F`` is close to 1;
+        ``mass_suffix[0]`` is exactly 1.
     """
 
     values: np.ndarray
@@ -116,77 +120,6 @@ class DiscreteSpectrum:
     mass_prefix: np.ndarray
     gain_prefix: np.ndarray
     mass_suffix: np.ndarray
-
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def from_masses(values: Sequence[float], masses: Sequence[float]) -> "DiscreteSpectrum":
-        """Build a spectrum from float masses.
-
-        Prefix/suffix accumulation runs in extended precision
-        (``np.longdouble``) before rounding to float64.
-        """
-        v = np.asarray(values, dtype=np.float64)
-        m = np.asarray(masses, dtype=np.float64)
-        _validate_support(v, m)
-        total = float(np.sum(m.astype(np.longdouble)))
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise DomainError(f"masses sum to {total!r}, expected 1 within {MASS_TOLERANCE}")
-        ml = m.astype(np.longdouble)
-        vl = v.astype(np.longdouble)
-        mass_prefix = np.minimum(np.cumsum(ml).astype(np.float64), 1.0)
-        gain_prefix = np.cumsum(vl * ml).astype(np.float64)
-        mass_suffix = np.cumsum(ml[::-1])[::-1].astype(np.float64)
-        # The total mass is 1 by construction; pin the accumulated
-        # endpoints so float dust (masses summing to 1 +- few ulp)
-        # cannot leak into lookups at the support edges.
-        mass_prefix[-1] = 1.0
-        mass_suffix[0] = 1.0
-        return DiscreteSpectrum(v, m, mass_prefix, gain_prefix, mass_suffix)
-
-
-def _spectrum_from_multiplicities(
-    values: Sequence[float], multiplicities: Sequence[int]
-) -> Tuple[DiscreteSpectrum, List[int], List[int], int]:
-    """A spectrum from exact integer multiplicities, with the counts
-    ``c_i``, the numerators ``k_i`` and the power of two ``D`` with
-    ``values[i] == k_i / D``, so that exact moments need no second pass.
-
-    With the values scaled to integers over one power of two
-    (:func:`_integer_numerators`), the prefix sums of counts and of
-    ``k_i * c_i`` and the suffix sums of counts are exact Python ints,
-    and each entry is one int/int true division, which CPython rounds
-    correctly: even masses around 1e-180 (huge solution-space counts)
-    keep full relative precision.  A multiplicity that is not a positive
-    integer, such as 1.5 or nan, raises ``DomainError``, and so does a
-    mass that underflows to 0: the atom would sit in the support with
-    no mass, and the minimum's mass would read 0.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    try:
-        mults = [int(c) for c in multiplicities]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"multiplicities must be positive integers: {exc}") from None
-    bad = next((m for c, m in zip(mults, multiplicities) if c <= 0 or c != m), None)
-    if bad is not None:
-        raise DomainError(f"multiplicities must be positive integers, got {bad!r}")
-    total = sum(mults)
-    _validate_support(v, np.ones_like(v))
-    scaled, den = _integer_numerators(v)
-
-    def ratios(numerators, denominator) -> np.ndarray:
-        return np.array([k / denominator for k in numerators], dtype=np.float64)
-
-    masses = ratios(mults, total)
-    empty = np.flatnonzero(masses == 0.0)
-    if empty.size:
-        k = int(empty[0])
-        raise DomainError(f"the mass at k={k} underflows to 0 (value {float(v[k])!r})")
-    mass_prefix = ratios(accumulate(mults), total)
-    gain_prefix = ratios(accumulate(map(mul, scaled, mults)), den * total)
-    mass_suffix = ratios(list(accumulate(reversed(mults)))[::-1], total)
-    spectrum = DiscreteSpectrum(v, masses, mass_prefix, gain_prefix, mass_suffix)
-    return spectrum, mults, scaled, den
 
 
 def _integer_numerators(values: np.ndarray) -> Tuple[List[int], int]:
@@ -202,15 +135,13 @@ def _integer_numerators(values: np.ndarray) -> Tuple[List[int], int]:
     return [p * (den // q) for p, q in ratios], den
 
 
-def _validate_support(values: np.ndarray, masses: np.ndarray) -> None:
+def _validate_support(values: np.ndarray) -> None:
     if values.ndim != 1 or values.size == 0:
         raise DomainError("support must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(values)):
         raise DomainError("support values must be finite")
     if np.any(values[1:] <= values[:-1]):
         raise DomainError("support values must be strictly ascending")
-    if np.any(masses <= 0):
-        raise DomainError("masses must be strictly positive")
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +209,81 @@ class Distribution(ABC):
 
 
 class DiscreteLaw(Distribution):
-    """A distribution with finite support backed by a :class:`DiscreteSpectrum`."""
+    """A finite-support law built from exact integer counts.
 
-    def __init__(
-        self,
-        spectrum: DiscreteSpectrum,
-        mean: Optional[float] = None,
-        std: Optional[float] = None,
-    ):
-        self.spectrum = spectrum
-        if mean is None or std is None:
-            v = spectrum.values.astype(np.longdouble)
-            m = spectrum.masses.astype(np.longdouble)
-            computed_mean = float(np.dot(v, m))
-            computed_var = float(np.dot((v - computed_mean) ** 2, m))
-            mean = computed_mean if mean is None else mean
-            std = math.sqrt(computed_var) if std is None else std
-        self.mean = float(mean)
-        self.std = float(std)
+    ``values`` are strictly ascending finite floats and ``counts`` positive
+    integers of any size (solution-space counts can exceed 64 bits by
+    hundreds of digits); the atom ``values[i]`` has the mass
+    ``counts[i] / N`` with ``N = sum(counts)``.  This is the one
+    construction path of every discrete law: empirical, binomial,
+    two-point and K_{n,n} laws, and equal-mass discretizations.
+
+    With the values written exactly as ``k_i / D`` over one power of two
+    ``D`` (:func:`_integer_numerators`), the prefix sums of counts and of
+    ``k_i c_i`` and the suffix sums of counts are exact Python ints, and
+    each :class:`DiscreteSpectrum` entry is one int/int true division,
+    which CPython rounds correctly: even masses around 1e-180 keep full
+    relative precision.  With ``S1 = sum(k_i c_i)`` and
+    ``S2 = sum(k_i^2 c_i)``,
+
+        mean = S1 / (N D),    var = (N S2 - S1^2) / (N^2 D^2),
+
+    each rounded once (then ``sqrt`` for the standard deviation).  A
+    variance past the largest double is divided by a power of four before
+    the division and its root multiplied by the matching power of two;
+    both scalings are exact, so the standard deviation, at most half the
+    value range, is the same as if the variance had fit.
+
+    A count that is not a positive integer, such as 1.5 or nan, raises
+    ``DomainError``, and so does a mass that underflows to 0: the atom
+    would sit in the support with no mass, and the minimum's mass would
+    read 0.  ``multiplicities`` and ``total_count`` keep the counts and
+    ``N``.
+    """
+
+    def __init__(self, values: Sequence[float], counts: Sequence[int]):
+        v = np.asarray(values, dtype=np.float64)
+        try:
+            mults = [int(c) for c in counts]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"multiplicities must be positive integers: {exc}") from None
+        bad = next((m for c, m in zip(mults, counts) if c <= 0 or c != m), None)
+        if bad is not None:
+            raise DomainError(f"multiplicities must be positive integers, got {bad!r}")
+        _validate_support(v)
+        total = sum(mults)
+        scaled, den = _integer_numerators(v)
+
+        def ratios(numerators, denominator) -> np.ndarray:
+            return np.array([k / denominator for k in numerators], dtype=np.float64)
+
+        masses = ratios(mults, total)
+        empty = np.flatnonzero(masses == 0.0)
+        if empty.size:
+            k = int(empty[0])
+            raise DomainError(f"the mass at k={k} underflows to 0 (value {float(v[k])!r})")
+        weighted = list(map(mul, scaled, mults))
+        self.spectrum = DiscreteSpectrum(
+            v,
+            masses,
+            ratios(accumulate(mults), total),
+            ratios(accumulate(weighted), den * total),
+            ratios(list(accumulate(reversed(mults)))[::-1], total),
+        )
+        self.multiplicities = tuple(mults)
+        self.total_count = total
+        s1 = sum(weighted)
+        var_num = total * sum(map(mul, scaled, weighted)) - s1 * s1
+        var_den = total * total * den * den
+        # var = var_num / var_den fits a double below 2**1024; beyond that,
+        # var / 4**e keeps about 2**1000 and std = sqrt(var / 4**e) * 2**e.
+        e = max(0, (var_num.bit_length() - var_den.bit_length()) // 2 - 500)
+        self.mean = s1 / (total * den)
+        self.std = math.ldexp(math.sqrt(var_num / (var_den << 2 * e)), e)
         if not (self.std > 0.0):
             raise DomainError("distribution must have positive standard deviation")
-        self.r_min = float(spectrum.values[0])
-        self.r_max = float(spectrum.values[-1])
+        self.r_min = float(v[0])
+        self.r_max = float(v[-1])
 
     # -- queries -------------------------------------------------------
 
@@ -374,33 +358,33 @@ class ContinuousLaw(Distribution):
 def discretize_equal_mass(dist: Distribution, bins: int = 10_000) -> DiscreteLaw:
     """Quantile-grid discretization of a continuous law.
 
-    The law is split into ``bins`` equal-mass slices; each slice becomes
-    one atom of mass ``1/bins`` placed at the slice's conditional mean
+    The law is split into ``bins`` equal-mass slices; each slice is one
+    of ``bins`` equal counts, an atom of mass ``1/bins`` placed at the
+    slice's conditional mean
 
         v_i = bins * (G(e_{i+1}) - G(e_i)),
 
-    which preserves the overall mean exactly (telescoping) and the cdf
-    uniformly.  Adjacent atoms that collide in float precision are
-    merged.
+    which preserves the overall mean (telescoping) and the cdf uniformly.
+    Where these means fail to ascend in float precision (extreme tails),
+    the run of slices is pooled into one atom at the run's conditional
+    mean, carrying the run's count: a stack of runs, each new one merged
+    backwards while its mean is at most the one below it.  The result is
+    an exact :class:`DiscreteLaw` with masses ``c/bins``.
     """
     if not isinstance(dist, ContinuousLaw):
         raise DomainError("discretize_equal_mass expects a continuous law")
     if bins < 2:
         raise DomainError("bins must be at least 2")
     _, inner_gains = dist._terms(dist.quantile_vec(np.arange(1, bins) / bins))
-    gains = np.concatenate(([0.0], inner_gains, [dist.mean]))
-    values = np.diff(gains) * bins
-    masses = np.full(bins, 1.0 / bins)
-    # Merge numerically colliding neighbours (possible in extreme tails).
-    keep_values = [values[0]]
-    keep_masses = [masses[0]]
-    for v, m in zip(values[1:], masses[1:]):
-        if v <= keep_values[-1]:
-            total = keep_masses[-1] + m
-            keep_values[-1] = (keep_values[-1] * keep_masses[-1] + v * m) / total
-            keep_masses[-1] = total
-        else:
-            keep_values.append(v)
-            keep_masses.append(m)
-    spectrum = DiscreteSpectrum.from_masses(np.array(keep_values), np.array(keep_masses))
-    return DiscreteLaw(spectrum)
+    gains = [0.0, *inner_gains.tolist(), dist.mean]
+    # run k pools the slices edges[k] .. edges[k + 1] - 1
+    edges, values = [0], []
+    for i in range(1, bins + 1):
+        value = (gains[i] - gains[edges[-1]]) * bins
+        while values and value <= values[-1]:
+            values.pop()
+            edges.pop()
+            value = (gains[i] - gains[edges[-1]]) * bins / (i - edges[-1])
+        edges.append(i)
+        values.append(value)
+    return DiscreteLaw(values, np.diff(edges).tolist())

@@ -14,16 +14,16 @@ Models
   that the standard-score growth exponent of threshold schedules on it
   can be dialed via ``eps``.
 * :class:`EmpiricalLaw` -- exact (value, multiplicity) spectra with
-  arbitrary-precision counts.  Its spectrum and moments are built in
-  integer arithmetic (values scaled to integers over one power of two)
-  and rounded once per entry, so they equal the exact rational results
+  arbitrary-precision counts: a :class:`~thqaoa.dist_core.DiscreteLaw`,
+  whose spectrum and moments are built in integer arithmetic and
+  rounded once per entry, so they equal the exact rational results
   correctly rounded to float64.
 
-The binomial and two-point factories build exact laws too, from p's
-dyadic expansion ``p = m / D``: Binomial(n, p) has the counts
-``C(n, k) m^k (D - m)^(n - k)`` out of ``D^n`` on {0, ..., n}, and the
-two-point law (the extremal one for standard-score bounds) ``m`` at -1
-and ``D - m`` at 0.
+Every discrete law is built from exact counts.  The binomial and
+two-point factories take them from p's dyadic expansion ``p = m / D``:
+Binomial(n, p) has the counts ``C(n, k) m^k (D - m)^(n - k)`` out of
+``D^n`` on {0, ..., n}, and the two-point law (the extremal one for
+standard-score bounds) ``m`` at -1 and ``D - m`` at 0.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import csv
 import math
 import sys
 from itertools import accumulate, repeat
-from operator import mul
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -42,7 +41,6 @@ from .dist_core import (
     DiscreteLaw,
     _lazy_import,
     _math_map,
-    _spectrum_from_multiplicities,
 )
 from .errors import DomainError
 
@@ -237,46 +235,14 @@ class ReflectedParetoLaw(ContinuousLaw):
 
 
 class EmpiricalLaw(DiscreteLaw):
-    """An exact finite spectrum given as (value, multiplicity) pairs.
-
-    Multiplicities are arbitrary-precision integers (solution-space
-    counts can exceed 64 bits by hundreds of digits).  The mean and
-    standard deviation are computed in integer arithmetic: with the
-    values written exactly as ``k_i / D`` over one power of two ``D``,
-    ``N`` the total count, ``S1 = sum(k_i c_i)`` and
-    ``S2 = sum(k_i^2 c_i)``,
-
-        mean = S1 / (N D),    var = (N S2 - S1^2) / (N^2 D^2),
-
-    each rounded once by an int/int true division (then ``sqrt`` for the
-    standard deviation).  A variance past the largest double is divided
-    by a power of four before the division and its root multiplied by
-    the matching power of two; both scalings are exact, so the standard
-    deviation, at most half the value range, is the same as if the
-    variance had fit.  :func:`make_binomial` and :func:`make_two_point`
-    build their laws here from exact counts as well.
-    """
+    """An exact finite spectrum given as (value, multiplicity) pairs: a
+    :class:`DiscreteLaw` over the unzipped values and counts."""
 
     def __init__(self, pairs: Iterable[Tuple[float, int]]):
         pairs = list(pairs)
         if not pairs:
             raise DomainError("empirical law needs at least one (value, multiplicity) pair")
-        spectrum, counts, scaled, den = _spectrum_from_multiplicities(
-            [float(v) for v, _ in pairs], [c for _, c in pairs]
-        )
-        total = sum(counts)
-        weighted = list(map(mul, scaled, counts))
-        s1 = sum(weighted)
-        s2 = sum(map(mul, scaled, weighted))
-        var_num = total * s2 - s1 * s1
-        var_den = total * total * den * den
-        # var = var_num / var_den fits a double below 2**1024; beyond that,
-        # var / 4**e keeps about 2**1000 and std = sqrt(var / 4**e) * 2**e.
-        e = max(0, (var_num.bit_length() - var_den.bit_length()) // 2 - 500)
-        std = math.ldexp(math.sqrt(var_num / (var_den << 2 * e)), e)
-        super().__init__(spectrum, mean=s1 / (total * den), std=std)
-        self.multiplicities = tuple(counts)
-        self.total_count = total
+        super().__init__([float(v) for v, _ in pairs], [c for _, c in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +272,15 @@ def make_binomial(n: int, p: float) -> EmpiricalLaw:
         raise DomainError(f"binomial success probability must lie in (0, 1), got {p!r}")
     n, p = int(n), float(p)
     m, den = p.as_integer_ratio()
-    q = den - m
+    q, total = den - m, den**n
     counts = accumulate(range(1, n + 1), lambda c, k: c * (n - k + 1) * m // (k * q), initial=q**n)
+    kept: List[int] = []
     try:
-        return EmpiricalLaw(zip(range(n + 1), counts))
+        for k, c in enumerate(counts):
+            if c / total == 0.0:  # stop here: for a tiny p each later count has a million bits
+                raise DomainError(f"the mass at k={k} underflows to 0 (value {float(k)!r})")
+            kept.append(c)
+        return EmpiricalLaw(zip(range(n + 1), kept))
     except DomainError as exc:
         raise DomainError(f"binomial law with n={n}, p={p!r}: {exc}") from None
 

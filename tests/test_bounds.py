@@ -251,7 +251,7 @@ def test_grover_min_rounds_formula():
         r_star = bounds._grover_min_rounds_of_law(law)
         assert r_star >= 1  # (2r+1)^2 * c0 >= total, and not one round sooner
         assert (2 * r_star + 1) ** 2 * c0 >= total > (2 * r_star - 1) ** 2 * c0, f
-    # float masses (equal-mass discretization): the mass's own ratio, 1/16
+    # equal-mass discretization: the optimum carries 1 of 16 counts
     law = discretize_equal_mass(make_normal(0.0, 1.0), bins=16)
     assert law.min_mass() == 1.0 / 16.0
     assert bounds._grover_min_rounds_of_law(law) == 2

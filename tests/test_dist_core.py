@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thqaoa.dist_core import DiscreteSpectrum, discretize_equal_mass
+from thqaoa import bounds
+from thqaoa.dist_core import discretize_equal_mass
 from thqaoa.dist_models import (
     make_binomial,
     make_empirical,
@@ -54,23 +55,23 @@ DISCRETE_IDS = ["BinomialLaw", "TwoPointLaw", "EmpiricalLaw"]
 def test_spectrum_invariants(n, seed):
     rng = np.random.default_rng(seed)
     values = np.cumsum(rng.uniform(0.01, 1.0, size=n)) - 5.0
-    masses = rng.uniform(0.05, 1.0, size=n)
-    masses = masses / masses.sum()
-    spec = DiscreteSpectrum.from_masses(values, masses)
+    counts = rng.integers(1, 10**6, size=n)
+    spec = make_empirical(list(zip(values.tolist(), counts.tolist()))).spectrum
     assert np.all(np.diff(spec.values) > 0)
     assert np.all(spec.masses > 0)
     assert np.all(np.diff(spec.mass_prefix) >= 0)
     assert abs(spec.mass_prefix[-1] - 1.0) <= 1e-12
-    assert spec.mass_prefix[-1] <= 1.0  # clamped, never overshoots
+    assert spec.mass_prefix[-1] <= 1.0  # never overshoots
+    assert spec.mass_prefix[-1] == 1.0
 
 
 def test_spectrum_rejects_bad_input():
     with pytest.raises(DomainError):
-        DiscreteSpectrum.from_masses([0.0, 0.0], [0.5, 0.5])  # duplicate values
+        make_empirical([(0.0, 1), (0.0, 1)])  # duplicate values
     with pytest.raises(DomainError):
-        DiscreteSpectrum.from_masses([1.0, 0.0], [0.5, 0.5])  # descending
+        make_empirical([(1.0, 1), (0.0, 1)])  # descending
     with pytest.raises(DomainError):
-        DiscreteSpectrum.from_masses([0.0, 1.0], [0.7, 0.7])  # mass sum != 1
+        make_empirical([(0.0, 1), (1.0, 1.5)])  # fractional count
     with pytest.raises(DomainError):
         make_empirical([(0.0, 3), (1.0, 0)])  # zero count
 
@@ -184,3 +185,46 @@ def test_discretize_equal_mass_atoms_equal_scalar_queries_bit_for_bit(law):
 def test_discretize_equal_mass_validation():
     with pytest.raises(DomainError):
         discretize_equal_mass(make_normal(0.0, 1.0), 1)
+
+
+@pytest.mark.parametrize(
+    "law, bins",
+    [
+        (make_normal(2.0, 1.5), 2000),
+        (make_reflected_gamma(2.5, 0.7), 2000),
+        (make_reflected_pareto(0.5, 1.5), 2000),
+        (make_reflected_gamma(0.05, 0.5), 1000),  # pooled runs: counts above 1
+    ],
+    ids=["NormalLaw", "ReflectedGammaLaw", "ReflectedParetoLaw", "ReflectedGammaLaw-pooled"],
+)
+def test_discretized_spectrum_equals_exact_fractions(law, bins):
+    disc = discretize_equal_mass(law, bins)
+    assert disc.total_count == bins
+    ref = oracles.fraction_spectrum(disc.spectrum.values.tolist(), disc.multiplicities)
+    for key in ("masses", "mass_prefix", "mass_suffix", "gain_prefix"):
+        assert getattr(disc.spectrum, key).tolist() == ref[key], key
+    assert disc.mean == float(ref["mean"])
+    assert disc.std == math.sqrt(float(ref["var"]))
+
+
+@pytest.mark.parametrize(
+    "a, b, bins", [(0.05, 0.5, 10_000), (0.005, 0.5, 3000), (0.05, 0.5, 1000)]
+)
+def test_discretize_heavy_tail_pools_runs_into_ascending_atoms(a, b, bins):
+    # the conditional means near 0 lose their bits to cancellation in G and
+    # fall out of order; a pooled run can fall below the atom before it
+    law = make_reflected_gamma(a, b)
+    disc = discretize_equal_mass(law, bins)
+    assert np.all(np.diff(disc.spectrum.values) > 0)
+    assert sum(disc.multiplicities) == disc.total_count == bins
+    assert max(disc.multiplicities) > 1
+    assert abs(disc.mean - law.mean) <= 1e-12 * law.std
+
+
+@pytest.mark.parametrize("bins, rounds", [(9, 1), (49, 3), (81, 4)])
+def test_grover_min_rounds_of_a_discretized_law_use_its_counts(bins, rounds):
+    # the optimum carries 1 of bins counts: (2r+1)^2 >= bins, and 1/bins as
+    # a double is below 1/bins for these bins
+    law = discretize_equal_mass(make_normal(0.0, 1.0), bins)
+    assert (law.multiplicities[0], law.total_count) == (1, bins)
+    assert bounds._grover_min_rounds_of_law(law) == rounds
