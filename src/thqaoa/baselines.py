@@ -11,19 +11,20 @@ draws.  Three evaluators are provided:
   ``E[min] = integral of quantile(u) * k * (1-u)^(k-1) du`` by adaptive
   quadrature (exact summation on discrete laws),
 * :func:`crs_monte_carlo` -- a seeded, chunk-deterministic Monte Carlo
-  backstop.
+  backstop, which draws each trial's minimum directly from one uniform.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Tuple
 
 import numpy as np
 
 from .dist_core import DiscreteLaw, Distribution, _lazy_import
 from .errors import DomainError, NumericalError
-from .grover_kernel import _check_rounds
+from .grover_kernel import _check_rounds, _float_or_inf
 
 integrate = _lazy_import("scipy.integrate")
 special = _lazy_import("scipy.special")
@@ -47,13 +48,12 @@ DEFAULT_EFFORT_FACTOR = 2
 #: chunks are scheduled).
 _MC_CHUNK_TRIALS = 4096
 
-#: Cap on random numbers materialized at once inside a chunk.
-_MC_BLOCK_BUDGET = 1 << 24
-
 
 def _check_samples(k: int) -> int:
     if int(k) != k or k < 1:
         raise DomainError(f"sample count must be a positive integer, got {k!r}")
+    if math.isinf(_float_or_inf(int(k))):  # every evaluator turns k into a double
+        raise DomainError(f"sample count must be a finite double (below 2**1024), got {int(k)}")
     return int(k)
 
 
@@ -90,9 +90,11 @@ def _continuous_expected_min(dist: Distribution, k: int) -> float:
     # u = O(1/k); give the adaptive rule explicit break points there.
     breaks = sorted({t / k for t in (0.125, 0.5, 1.0, 2.5, 6.0, 15.0, 40.0)} | {0.5})
     points = [b for b in breaks if 0.0 < b < 1.0]
-    value, abserr = integrate.quad(
-        integrand, 0.0, 1.0, points=points, limit=400, epsabs=1e-10, epsrel=1e-10
-    )
+    with warnings.catch_warnings():  # a failed rule warns; the abserr check below raises
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        value, abserr = integrate.quad(
+            integrand, 0.0, 1.0, points=points, limit=400, epsabs=1e-10, epsrel=1e-10
+        )
     if not math.isfinite(value) or abserr > 1e-8 * max(1.0, abs(value)):
         raise NumericalError(
             f"expected-minimum integral did not converge (value={value!r}, abserr={abserr!r})"
@@ -106,11 +108,17 @@ def crs_expected_min(dist: Distribution, k: int) -> float:
     Discrete laws are summed exactly over the support; continuous laws
     use adaptive quadrature of the quantile-space integral
     ``E[min] = integral_0^1 quantile(u) * k * (1-u)^(k-1) du`` to
-    absolute tolerance 1e-8.
+    absolute tolerance 1e-8.  ``k`` must be below ``2**1024``, and on a
+    continuous law below ``2**52``, past which the weight lives where
+    ``1 - u`` rounds to 1 or to one of a few doubles; ``DomainError`` is
+    raised beyond.  An integral that does not converge, as at most k
+    from about 2e9 on, raises ``NumericalError``.
     """
     k = _check_samples(k)
     if isinstance(dist, DiscreteLaw):
         return _discrete_expected_min(dist, k)
+    if k >= 2**52:
+        raise DomainError(f"the integral takes k < 2**52 draws on a continuous law, got k = {k}")
     return _continuous_expected_min(dist, k)
 
 
@@ -120,10 +128,13 @@ def crs_monte_carlo(
     """Monte Carlo estimate of the expected minimum of ``k`` draws.
 
     Returns ``(mean, stderr)`` over ``trials`` independent minima.
-    Sampling is inverse-transform through the quantile function; the
-    counter-based generator is keyed ``(seed, chunk_index)`` with a
-    fixed chunk size, so results are deterministic and chunks may be
-    evaluated in any order or in parallel.
+    Each trial's minimum of ``k < 2**1024`` uniforms is drawn directly
+    from one uniform ``V`` as ``u_min = 1 - (1 - V)^(1/k)``, the inverse
+    of its law ``P(u_min > x) = (1 - x)^k``, so the cost does not grow
+    with ``k``; the minimum is then ``quantile(u_min)``, as the quantile
+    map is non-decreasing.  The counter-based generator is keyed
+    ``(seed, chunk_index)`` with a fixed chunk size, so results are
+    deterministic and chunks may be evaluated in any order or in parallel.
     """
     k = _check_samples(k)
     if int(trials) != trials or trials < 1:
@@ -137,18 +148,10 @@ def crs_monte_carlo(
     total_sq = 0.0
     done = 0
     chunk_index = 0
-    cols = max(1, min(k, _MC_BLOCK_BUDGET // _MC_CHUNK_TRIALS))
     while done < trials:
         m = min(_MC_CHUNK_TRIALS, trials - done)
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-        # Running minimum over k uniforms per trial; the quantile map is
-        # non-decreasing, so min(quantile(u)) = quantile(min(u)).
-        u_min = np.ones(m, dtype=np.float64)
-        remaining = k
-        while remaining > 0:
-            block = min(cols, remaining)
-            np.minimum(u_min, rng.random((m, block)).min(axis=1), out=u_min)
-            remaining -= block
+        u_min = -np.expm1(np.log1p(-rng.random(m)) / float(k))
         x = np.asarray(dist.quantile_vec(u_min), dtype=np.float64)
         total += float(np.sum(x))
         total_sq += float(np.dot(x, x))

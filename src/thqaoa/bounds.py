@@ -115,11 +115,11 @@ def c_ths(rounds: Iterable[int]) -> List[Tuple[float, float]]:
 
     One golden-section search per round in log-mass over
     ``(0, threshold_ratio(r)]`` (the optimum sits at a constant fraction
-    of the certainty ratio), all of them stepped in lockstep on numpy
-    arrays by the threshold optimizer's helper.  Each search takes the
-    steps of a scalar golden-section search of its round alone (kept in
-    ``tests/oracles.py`` as the reference), so every result equals that
-    search's bit for bit.
+    of the certainty ratio), all of them stepped in lockstep on whole
+    numpy arrays by the threshold optimizer's helper until the last one
+    is done.  Each search takes the steps of a scalar golden-section
+    search of its round alone (kept in ``tests/oracles.py`` as the
+    reference), so every result equals that search's bit for bit.
 
     ``P`` keeps numpy's ``arcsin`` and ``sin``, the path fig1's pinned
     values were computed on: ``math`` differs from it in the last bit
@@ -137,10 +137,10 @@ def c_ths(rounds: Iterable[int]) -> List[Tuple[float, float]]:
     hi = _math_map(math.log, rho_th)
     lo = hi + math.log(1e-6)
 
-    def value_at(v: np.ndarray, idx) -> np.ndarray:
+    def value_at(v: np.ndarray) -> np.ndarray:
         rho = _math_map(math.exp, v)
-        s = np.sin(k[idx] * np.arcsin(np.sqrt(rho)))
-        p = np.where(rho >= rho_th[idx], 1.0, s * s)
+        s = np.sin(k * np.arcsin(np.sqrt(rho)))
+        p = np.where(rho >= rho_th, 1.0, s * s)
         return -((p - rho) / np.sqrt(rho * (1.0 - rho)))
 
     v, value = _golden_section_argmin_batch(value_at, lo, hi, 1e-13)

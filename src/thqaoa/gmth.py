@@ -35,8 +35,7 @@ There is one threshold search, :func:`optimize_thresholds`;
 :func:`optimize_threshold` is a batch of one.  On a continuous law it
 steps the golden-section searches of all rounds in lockstep
 (:func:`_golden_section_argmin_batch`, the package's one golden-section
-loop): whole arrays while every search is live, then by index for the
-last searches, whose brackets differ by a few ulps.  ``bounds.c_ths``
+loop), whole arrays until the last search is done.  ``bounds.c_ths``
 runs its score searches on the same helper.  On a discrete law one
 scan, :func:`_optimize_discrete`, takes the candidates of every round
 at once, as it takes those of every law a K_{n,n} round-search step
@@ -215,27 +214,22 @@ def _expectations(mu, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.ndarray:
     of the closed form in this module is computed here: the branches of
     :func:`expectation_at_threshold`, in correctly rounded array
     arithmetic with ``asin`` and ``sin`` from :mod:`math`, so each
-    element depends on its own ``(mu, rho, g, r)`` alone.  A nan marked mass raises as the kernel does.  When every
-    element takes the general branch, as in a threshold search, no
-    element is gathered or scattered.
+    element depends on its own ``(mu, rho, g, r)`` alone.  Every element
+    is evaluated in every branch and ``where`` picks its own; a nan
+    marked mass raises as the kernel does.
     """
-    boosted = rho >= rho_th  # rho_th < 1, so this holds wherever rho >= 1
-    general = ~((rho <= 0.0) | boosted)  # nan fails both tests
-    every = general.all()
-    rg, kg, mug = (x[general] if np.ndim(x) and not every else x for x in (rho, k, mu))
-    if np.isnan(rg).any():  # the kernel rejects a nan marked mass
-        raise DomainError(f"amplification requires 0 < rho <= 1, got {float(rg[np.isnan(rg)][0])!r}")
-    s = _math_map(math.sin, kg * _math_map(math.asin, np.sqrt(rg)))
+    if np.isnan(rho).any():  # the kernel rejects a nan marked mass
+        raise DomainError("amplification requires 0 < rho <= 1, got nan")
+    s = _math_map(math.sin, k * _math_map(math.asin, np.sqrt(rho)))
     # Silent, as Python floats overflow to inf and give nan silently; the
-    # division's value is discarded where rho = 0 or the element is general.
+    # general form's value is discarded where rho = 0 or the mass is boosted.
     with np.errstate(all="ignore"):
         g_y = g - mu * rho
-        if every:
-            return mu + g_y * (s * s / rho - 1.0) / (1.0 - rho)
-        # rho > 0: past r ~ 1e161 threshold_ratio(r) underflows to 0, which a zero mass reaches
-        e = np.where(boosted & (rho > 0.0) & (rho < 1.0), mu + g_y / rho, mu)
-        e[general] = mug + g_y[general] * (s * s / rg - 1.0) / (1.0 - rg)
-    return e
+        general = mu + g_y * (s * s / rho - 1.0) / (1.0 - rho)
+        # The boosted and the mu branch; rho > 0: past r ~ 1e161
+        # threshold_ratio(r) underflows to 0, which a zero mass reaches.
+        rest = np.where((rho >= rho_th) & (rho > 0.0) & (rho < 1.0), mu + g_y / rho, mu)
+    return np.where((rho > 0.0) & (rho < rho_th), general, rest)
 
 
 GridSpec = Union[str, int, Sequence[float]]
@@ -338,55 +332,40 @@ def _optimize_discrete(
 
 
 def _golden_section_argmin_batch(
-    value_at: Callable[[np.ndarray, Union[slice, np.ndarray]], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float,
+    value_at: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, tol: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Golden-section searches for the minimizers of unimodal functions, in lockstep.
 
-    ``value_at(x, idx)`` evaluates the objectives of searches ``idx`` at
+    ``value_at(x)`` evaluates every search's objective at its entry of
     ``x``.  Each search shrinks its bracket ``[a, b]`` until it is at
     most ``tol`` wide and returns the interior point with the smaller
     value (the left one on ties) together with that value.  It takes
     the steps of a scalar golden-section search of its bracket alone
     (``tests/oracles.py`` keeps one as the reference): the same
-    comparisons, ties and points.  While every search is live the whole
-    arrays are stepped and ``idx`` is ``slice(None)``; brackets that
-    differ by a few ulps can finish a step apart, and that tail steps
-    the live searches by index, gathering and scattering their entries.
+    comparisons, ties and points.  Whole arrays are stepped until every
+    search is done; each search's result is recorded on the step where
+    its bracket first gets within ``tol``, and the later steps of a
+    finished search are thrown away.
     """
-    every = slice(None)
-    a, b = a.copy(), b.copy()
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = value_at(c, every), value_at(d, every)
-    width = b - a
-    while width.size and width.min() > tol:
-        left = fc <= fd  # the scalar search's `if fc <= fd` branch
+    fc, fd = value_at(c), value_at(d)
+    x_best, f_best = c, fc
+    live = np.ones(a.shape, dtype=bool)
+    while True:
+        left = fc <= fd  # the scalar search's `if fc <= fd` branch, and its final pick
+        ends = live & ~(b - a > tol)  # a nan width ends at once, as the scalar loop does
+        x_best = np.where(ends, np.where(left, c, d), x_best)
+        f_best = np.where(ends, np.where(left, fc, fd), f_best)
+        live &= ~ends
+        if not live.any():
+            return x_best, f_best
         a, b = np.where(left, a, c), np.where(left, d, b)
-        width = b - a
-        step = _INV_GOLDEN * width
+        step = _INV_GOLDEN * (b - a)
         x = np.where(left, b - step, a + step)
-        fx = value_at(x, every)
+        fx = value_at(x)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    live = np.flatnonzero(width > tol)
-    while live.size:
-        la, lb, lc, ld, lfc, lfd = a[live], b[live], c[live], d[live], fc[live], fd[live]
-        left = lfc <= lfd
-        na = np.where(left, la, lc)
-        nb = np.where(left, ld, lb)
-        x = np.where(left, nb - _INV_GOLDEN * (nb - na), na + _INV_GOLDEN * (nb - na))
-        fx = value_at(x, live)
-        a[live], b[live] = na, nb
-        c[live] = np.where(left, x, ld)
-        d[live] = np.where(left, lc, x)
-        fc[live] = np.where(left, fx, lfd)
-        fd[live] = np.where(left, lfc, fx)
-        live = live[(nb - na) > tol]
-    take_c = fc <= fd
-    return np.where(take_c, c, d), np.where(take_c, fc, fd)
 
 
 def _optimize_continuous_batch(
@@ -419,19 +398,19 @@ def _optimize_continuous_batch(
     check_range(u_lo)
     mu = law.mean
 
-    def e_at(u: np.ndarray, idx: Union[slice, np.ndarray]) -> np.ndarray:
+    def e_at(u: np.ndarray) -> np.ndarray:
         rho, g = law._terms(law.quantile_vec(u))
-        return _expectations(mu, rho, g, rho_th[idx], k[idx])
+        return _expectations(mu, rho, g, rho_th, k)
 
-    def value_at(v: np.ndarray, idx: Union[slice, np.ndarray]) -> np.ndarray:
-        return e_at(_math_map(math.exp, v), idx)
+    def value_at(v: np.ndarray) -> np.ndarray:
+        return e_at(_math_map(math.exp, v))
 
     with np.errstate(all="ignore"):  # Python floats give inf and nan without a warning
         v_best, best_e = _golden_section_argmin_batch(value_at, lo, hi, CONTINUOUS_SEARCH_TOLERANCE)
         best_u = _math_map(math.exp, v_best)
         # The search's own winner first, so that ties keep it.
         for u in (rho_th, u_lo):
-            e = e_at(u, slice(None))
+            e = e_at(u)
             better = e < best_e
             best_u, best_e = np.where(better, u, best_u), np.where(better, e, best_e)
     return best_u, best_e

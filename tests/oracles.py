@@ -683,3 +683,17 @@ def crs_min_continuous_reference(law, k: int) -> float:
 
     val, _ = integrate.quad(integrand, lo, hi, limit=300)
     return val
+
+
+def crs_min_large_k_reference(law, k: int) -> float:
+    """E[min of k draws] for any k, by the substitution u = 1 - exp(-s/k).
+
+    The quantile-space integral of quantile(u) k (1-u)^{k-1} becomes the
+    integral of quantile(-expm1(-s/k)) e^{-s} over s >= 0, whose weight
+    never sits where 1 - u rounds to 1.
+    """
+    val, _ = integrate.quad(
+        lambda s: law.quantile(-math.expm1(-s / k)) * math.exp(-s),
+        0.0, math.inf, limit=400, epsabs=1e-12, epsrel=1e-12,
+    )
+    return val

@@ -130,6 +130,38 @@ def test_expected_min_validation():
         crs_expected_min(make_normal(0.0, 1.0), 0)
 
 
+@pytest.mark.parametrize("k", [2**52, 2**53 - 2, 2**53, 2 * 10**20])
+def test_continuous_expected_min_rejects_draw_counts_past_the_integral(k):
+    # From k ~ 2**52 the weight k (1-u)^(k-1) sits where 1 - u is 1 or one
+    # of a few doubles; the quadrature converged on garbage there (-8.9615
+    # for the standard normal at k = 2**53 - 2, against -8.2772).
+    laws = (make_normal(0.0, 1.0), make_reflected_gamma(0.5, 0.5), make_reflected_pareto(1.0, 1.0))
+    for law in laws:
+        with pytest.raises(DomainError, match=f"2\\*\\*52 .* k = {k}$"):
+            crs_expected_min(law, k)
+
+
+def test_continuous_expected_min_keeps_its_value_below_the_limit():
+    assert crs_expected_min(make_normal(0.0, 1.0), 2 * 10**7).hex() == (-5.426282241369065).hex()
+
+
+def test_sample_counts_past_the_double_range_are_rejected():
+    norm, discrete = make_normal(0.0, 1.0), make_two_point(0.2)
+    for k in (2**1024, 2**1024 - 2**970):  # the second rounds up to 2**1024
+        for law in (norm, discrete):
+            with pytest.raises(DomainError, match="finite double"):
+                crs_expected_min(law, k)
+            with pytest.raises(DomainError, match="finite double"):
+                crs_monte_carlo(law, k, trials=10)
+    with pytest.raises(DomainError, match="finite double"):
+        crs_blom(0.0, 1.0, 2**1020, effort_factor=16)
+    # the largest count that is a finite double still runs
+    k = 2**1024 - 2**970 - 1
+    assert crs_expected_min(discrete, k) == -1.0
+    assert math.isfinite(crs_blom(0.0, 1.0, 2**1020, effort_factor=15))
+    assert math.isfinite(crs_monte_carlo(norm, k, trials=10)[0])
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo backstop
 # ---------------------------------------------------------------------------
@@ -146,6 +178,14 @@ def test_monte_carlo_within_five_sigma_of_exact():
     exact = crs_expected_min(law, 6)
     mean, stderr = crs_monte_carlo(law, 6, trials=20_000, seed=2)
     assert abs(mean - exact) < 5.0 * stderr
+
+
+@pytest.mark.parametrize("k", [2000, 2 * 10**7, 2 * 10**20])
+def test_monte_carlo_draws_the_minimum_at_any_draw_count(k):
+    # One uniform per trial, whatever k: k = 2e20 once took forever.
+    norm = make_normal(0.0, 1.0)
+    mean, stderr = crs_monte_carlo(norm, k, trials=20_000, seed=3)
+    assert abs(mean - oracles.crs_min_large_k_reference(norm, k)) < 5.0 * stderr
 
 
 def test_monte_carlo_deterministic_and_seed_sensitive():

@@ -813,6 +813,46 @@ def test_spec_parsers_accept_or_reject_cleanly(parse, specs, is_valid, data):
     assert is_valid(value), (spec, value)
 
 
+_R_1020 = str(2**1020)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crs", "--dist", "normal:0,1", "--r", "100000000000000000000"],  # k past the integral's 2**52
+        ["crs", "--dist", "gamma:0.5,0.5", "--r", str(2**51)],
+        ["crs", "--dist", "knn:4", "--r", _R_1020, "--effort-factor", "16"],  # k = 2**1024
+        ["crs", "--dist", "normal:0,1", "--r", _R_1020, "--effort-factor", "16", "--method", "blom"],
+        ["crs", "--dist", "normal:0,1", "--r", _R_1020, "--effort-factor", "16", "--method", "monte_carlo"],
+    ],
+)
+def test_crs_draw_counts_out_of_range_exit_two_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: config: ")
+
+
+@pytest.mark.parametrize("dist", ["normal:0,1", "pareto:1,1"])
+def test_crs_integral_failure_prints_one_line(capsys, dist):
+    # scipy's IntegrationWarning lines once came before the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "crs", "--dist", dist, "--r", "1000000000000")
+    assert (code, out, caught) == (3, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("error: numerical: ")
+
+
+def test_crs_runs_at_the_largest_draw_counts(capsys):
+    code, out, _ = run_cli(capsys, "crs", "--dist", "knn:4", "--r", _R_1020, "--effort-factor", "15")
+    assert code == 0 and parse_csv(out)[1][0][1] == str(15 * 2**1020)
+    # one uniform per Monte Carlo trial, whatever k
+    code, out, _ = run_cli(
+        capsys, "crs", "--dist", "normal:0,1", "--r", "100000000000000000000",
+        "--method", "monte_carlo", "--trials", "1000",
+    )
+    assert code == 0 and -9.5 < float(parse_csv(out)[1][0][2]) < -9.3
+
+
 # ---------------------------------------------------------------------------
 # Process-level behavior
 # ---------------------------------------------------------------------------

@@ -481,17 +481,19 @@ _BRACKETS = st.lists(
 @given(brackets=_BRACKETS, plateaus=st.booleans(), tol=st.sampled_from([1e-12, 1e-6, 0.5]))
 @example(brackets=[(0.0, 1.0, 0.3)] * 3, plateaus=False, tol=1e-12)
 @example(brackets=[(-1.0, 2.0, 0.0), (-1.0, 2.0 + 2**-40, 0.0), (5.0, 0.0, 5.0)], plateaus=True, tol=1e-12)
+@example(brackets=[(3.0, 0.0, 3.0), (-50.0, 100.0, 7.5)], plateaus=False, tol=1e-12)
 @settings(max_examples=200, deadline=None)
 def test_batch_golden_section_equals_scalar_bit_for_bit(brackets, plateaus, tol):
-    # Brackets of unequal width finish at different steps, so the lockstep
-    # leaves its whole-array steps and carries the rest by index; the
-    # plateaus of a floored parabola make the searches meet ties.
+    # Brackets of unequal width finish at different steps: a finished
+    # search keeps being stepped with the rest, and only the result of the
+    # step where it finished may count; the plateaus of a floored parabola
+    # make the searches meet ties.
     a = np.array([lo for lo, _, _ in brackets])
     b = a + np.array([width for _, width, _ in brackets])
     m = np.array([centre for _, _, centre in brackets])
 
-    def value_at(x, idx):
-        y = (x - m[idx]) * (x - m[idx])
+    def value_at(x):
+        y = (x - m) * (x - m)
         return np.floor(y) if plateaus else y
 
     x_batch, f_batch = _golden_section_argmin_batch(value_at, a, b, tol)
