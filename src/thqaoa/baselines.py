@@ -107,8 +107,9 @@ def crs_expected_min(dist: Distribution, k: int) -> float:
 
     Discrete laws are summed exactly over the support; continuous laws
     use adaptive quadrature of the quantile-space integral
-    ``E[min] = integral_0^1 quantile(u) * k * (1-u)^(k-1) du`` to
-    absolute tolerance 1e-8.  ``k`` must be below ``2**1024``, and on a
+    ``E[min] = integral_0^1 quantile(u) * k * (1-u)^(k-1) du``, whose
+    error estimate must be at most ``1e-8 * max(1, |E|)``: absolute below
+    ``|E| = 1`` and relative above.  ``k`` must be below ``2**1024``, and on a
     continuous law below ``2**52``, past which the weight lives where
     ``1 - u`` rounds to 1 or to one of a few doubles; ``DomainError`` is
     raised beyond.  An integral that does not converge, as at most k

@@ -36,8 +36,8 @@ import numpy as np
 from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum, Distribution, _math_map
 from .errors import DomainError
 from .gmqaoa import PhaseFunction, simulate
-from .gmth import _golden_section_argmin_batch, _round_terms, min_rounds_exact_opt
-from .grover_kernel import AngleSchedule, _check_rounds, _float_or_inf
+from .gmth import _golden_section_argmin_batch, min_rounds_exact_opt
+from .grover_kernel import AngleSchedule, _amplification_caps, _check_rounds, _float_or_inf, _round_terms
 
 __all__ = [
     "BoundReport",
@@ -121,10 +121,11 @@ def c_ths(rounds: Iterable[int]) -> List[Tuple[float, float]]:
     search of its round alone (kept in ``tests/oracles.py`` as the
     reference), so every result equals that search's bit for bit.
 
-    ``P`` keeps numpy's ``arcsin`` and ``sin``, the path fig1's pinned
-    values were computed on: ``math`` differs from it in the last bit
-    for about 1.4% of the masses searched.  The rest of the score is
-    correctly rounded arithmetic, the same on any path.
+    The round terms are the kernel's :func:`_round_terms`, but ``P``
+    keeps numpy's ``arcsin`` and ``sin`` rather than the kernel's
+    :func:`grover_probability_vec`: fig1's pinned bytes were computed on
+    this path, and the kernel's libm P moves the ``cth`` of 8 of fig1's
+    50 rows.  The rest of the score is correctly rounded arithmetic.
 
     Round counts above :data:`C_TH_MAX_ROUNDS` raise ``DomainError``.
     """
@@ -193,9 +194,8 @@ def _floor_terms(
     ``partial_expectation``.
     """
     rounds = [_check_rounds(r) for r in rounds]
-    # inf where (2r+1)**2 passes the double range, past r ~ 6.7e153; the cap is 0 there
-    den = np.array([_float_or_inf((2 * r + 1) ** 2) for r in rounds], dtype=np.float64)
-    cap = 1.0 / den
+    den = _amplification_caps(rounds)
+    cap = 1.0 / den  # 0 where den is inf, past r ~ 6.7e153
     if isinstance(dist, ContinuousLaw):
         empty = np.flatnonzero(~(cap > 0.0))
         if empty.size:

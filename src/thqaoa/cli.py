@@ -71,11 +71,8 @@ from .dist_models import (
 )
 from .errors import ConfigError, DomainError, ThqaoaError
 from .grover_kernel import (
-    POLY_MAX_ROUNDS,
-    _float_or_inf,
-    grover_probability,
-    grover_probability_poly,
-    threshold_ratio,
+    POLY_MAX_ROUNDS, _amplification_caps, _check_rounds, _float_or_inf, _round_terms,
+    grover_probability_poly, grover_probability_vec,
 )
 
 __all__ = ["run", "main"]
@@ -357,17 +354,17 @@ def _cmd_cthr(cfg: Dict[str, Any]):
 
 
 def _cmd_pr(cfg: Dict[str, Any]):
-    rounds = _parse_rounds(cfg["r"])
+    rounds = [_check_rounds(r) for r in _parse_rounds(cfg["r"])]
     rhos = _parse_rho(cfg["rho"])
+    masses = np.array(rhos, dtype=np.float64)
     rows = []
-    for r in rounds:
-        rho_th = threshold_ratio(r)
-        for rho in rhos:
-            p = grover_probability(rho, r)
+    for r, rho_th, k, cap in zip(rounds, *_round_terms(rounds), _amplification_caps(rounds)):
+        p = grover_probability_vec(masses, rho_th, k)
+        eta = np.minimum(p / masses, cap)  # p / rho can pass the cap by an ulp
+        for rho, p_r, eta_r in zip(rhos, p.tolist(), eta.tolist()):
             in_poly_domain = r <= POLY_MAX_ROUNDS and rho <= rho_th
             p_poly = grover_probability_poly(rho, r) if in_poly_domain else None
-            eta = min(p / rho, _float_or_inf((2 * r + 1) ** 2))  # p / rho can pass the cap by an ulp
-            rows.append((r, rho, rho_th, p, p_poly, eta))
+            rows.append((r, rho, rho_th, p_r, p_poly, eta_r))
     return ("r", "rho", "rho_th", "p", "p_poly", "eta"), rows
 
 

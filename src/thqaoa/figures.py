@@ -271,14 +271,11 @@ def fig7_rows() -> Tuple[Header, List[Row]]:
 
 
 def fig8_rows() -> Tuple[Header, List[Row]]:
-    spectrum = maxcut.bipartite_spectrum(50)
-    law = spectrum.law("y")
-    rows: List[Row] = []
-    cdf = 0.0
-    for (value, count), mass in zip(spectrum.atoms, law.spectrum.masses):
-        cdf += float(mass)
-        rows.append((value, count, float(mass), min(cdf, 1.0)))
-    return ("y", "count", "mass", "cdf"), rows
+    law = maxcut.bipartite_spectrum(50).law("y")
+    spectrum = law.spectrum
+    columns = (spectrum.values.tolist(), law.multiplicities, spectrum.masses.tolist(),
+               spectrum.mass_prefix.tolist())
+    return ("y", "count", "mass", "cdf"), list(zip(*columns))
 
 
 _FIG9_PANELS = (

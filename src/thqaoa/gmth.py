@@ -20,13 +20,10 @@ evaluates the branches on arrays of law terms ``(F(t), G(t))``, each
 element with its own round count.  Every caller goes through it:
 :func:`expectation_at_threshold` and :func:`threshold_report` with
 one-element arrays, :func:`threshold_curve`, the discrete candidate
-scan, and the threshold search.  Only correctly rounded operations run
-as numpy array code (``+ - * /``, ``sqrt``, comparisons, ``where``),
-while ``asin`` and ``sin`` are :mod:`math`'s, mapped over the elements
--- numpy's own differ from libm in the last bit on a few percent of
-doubles.  So each element depends on its own terms
-alone, and equals :func:`grover_probability` composed by hand.  The
-law terms come from the law's one evaluator of ``F`` and ``G``,
+scan, and the threshold search.  P is the kernel's
+:func:`grover_probability_vec` and the rest correctly rounded array
+arithmetic, so each element depends on its own terms alone.  The law
+terms come from the law's one evaluator of ``F`` and ``G``,
 ``_terms`` (at ``quantile_vec`` of the masses in the searches), or
 from a discrete law's prefix tables, which hold the same values.  So every
 curve point equals :func:`expectation_at_threshold`.
@@ -59,7 +56,9 @@ import numpy as np
 
 from .dist_core import ContinuousLaw, DiscreteLaw, DiscreteSpectrum, Distribution, _math_map
 from .errors import DomainError
-from .grover_kernel import _check_rounds, _float_or_inf, _threshold_ratio_any, threshold_ratio
+from .grover_kernel import (
+    _amplification_caps, _check_rounds, _round_terms, grover_probability_vec, threshold_ratio,
+)
 
 __all__ = [
     "ThresholdReport",
@@ -164,13 +163,6 @@ def threshold_report(dist: Distribution, r: int, t: float) -> ThresholdReport:
     return _reports(dist, [r], rho_th, k, ts, rho, _expectations(dist.mean, rho, g, rho_th, k))[0]
 
 
-def _round_terms(rounds: List[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """``threshold_ratio(r)`` and ``k = 2r + 1`` for each checked round count."""
-    rho_th = np.array([_threshold_ratio_any(r) for r in rounds], dtype=np.float64)
-    k = np.array([2.0 * r + 1.0 for r in rounds], dtype=np.float64)
-    return rho_th, k
-
-
 def _reports(
     dist: Distribution,
     rounds: List[int],
@@ -184,18 +176,14 @@ def _reports(
 
     One element per round: checked ``rounds`` with their
     :func:`_round_terms`, the threshold ``t``, its marked mass
-    ``rho = F(t)`` and its expectation ``e_r = E_r(t)``.  ``P`` is
-    :func:`grover_probability`'s formula with :mod:`math`'s ``asin`` and
-    ``sin`` mapped over the elements, and the rest is correctly rounded
-    arithmetic, so every field equals the scalar computation's; the law
-    is queried once, for every report's ``quantile = F(E_r)``.  Every
-    report of this module is assembled here.
+    ``rho = F(t)`` and its expectation ``e_r = E_r(t)``.  ``P`` is the
+    kernel's :func:`grover_probability_vec`, ``eta = P/rho`` is held to
+    its :func:`_amplification_caps`, and the rest is correctly rounded
+    arithmetic; the law is queried once, for every report's
+    ``quantile = F(E_r)``.  Every report of this module is assembled here.
     """
-    s = _math_map(math.sin, k * _math_map(math.asin, np.sqrt(rho)))
-    p = np.where((rho >= rho_th) & (rho > 0.0), 1.0, s * s)  # rho > 0 as in grover_probability
-    # inf where (2r+1)^2 passes the double range, past r ~ 6.7e153
-    cap = np.array([_float_or_inf((2 * r + 1) ** 2) for r in rounds])
-    # p / rho can pass the cap by an ulp or two as rho -> 0
+    p = grover_probability_vec(rho, rho_th, k)
+    cap = _amplification_caps(rounds)  # p / rho can pass it by an ulp or two as rho -> 0
     eta = np.minimum(np.divide(p, rho, out=cap.copy(), where=rho > 0.0), cap)
     mu, r_min = dist.mean, dist.r_min
     lam = (e_r / r_min).tolist() if math.isfinite(r_min) and r_min != 0.0 else [None] * len(rounds)
@@ -212,20 +200,21 @@ def _expectations(mu, rho: np.ndarray, g: np.ndarray, rho_th, k) -> np.ndarray:
     The law mean ``mu``, ``rho_th = threshold_ratio(r)`` and
     ``k = 2r + 1`` are each one value or one per element.  Every value
     of the closed form in this module is computed here: the branches of
-    :func:`expectation_at_threshold`, in correctly rounded array
-    arithmetic with ``asin`` and ``sin`` from :mod:`math`, so each
-    element depends on its own ``(mu, rho, g, r)`` alone.  Every element
+    :func:`expectation_at_threshold`, with P from the kernel's
+    :func:`grover_probability_vec` and correctly rounded array
+    arithmetic, so each element depends on its own ``(mu, rho, g, r)``
+    alone.  Every element
     is evaluated in every branch and ``where`` picks its own; a nan
     marked mass raises as the kernel does.
     """
     if np.isnan(rho).any():  # the kernel rejects a nan marked mass
         raise DomainError("amplification requires 0 < rho <= 1, got nan")
-    s = _math_map(math.sin, k * _math_map(math.asin, np.sqrt(rho)))
+    p = grover_probability_vec(rho, rho_th, k)
     # Silent, as Python floats overflow to inf and give nan silently; the
     # general form's value is discarded where rho = 0 or the mass is boosted.
     with np.errstate(all="ignore"):
         g_y = g - mu * rho
-        general = mu + g_y * (s * s / rho - 1.0) / (1.0 - rho)
+        general = mu + g_y * (p / rho - 1.0) / (1.0 - rho)
         # The boosted and the mu branch; rho > 0: past r ~ 1e161
         # threshold_ratio(r) underflows to 0, which a zero mass reaches.
         rest = np.where((rho >= rho_th) & (rho > 0.0) & (rho < 1.0), mu + g_y / rho, mu)

@@ -1,8 +1,8 @@
 """The Grover probability kernel.
 
 Everything in this package that touches amplitude amplification reduces
-to one scalar kernel: given a marked-state mass ``rho`` and ``r``
-mixing rounds, the optimal probability of measuring a marked state is
+to one kernel: given a marked-state mass ``rho`` and ``r`` mixing
+rounds, the optimal probability of measuring a marked state is
 
     P(rho, r) = sin^2((2r + 1) * arcsin(sqrt(rho)))   for rho <= rho_Th(r)
     P(rho, r) = 1                                     for rho >  rho_Th(r)
@@ -13,9 +13,17 @@ threshold, probability 1 is still attainable by running ``k < r``
 pi-rounds followed by one fine-tuned (beta, gamma) pair; this module
 computes that schedule in closed form (:func:`optimal_binary_angles`).
 
+P has one implementation, :func:`grover_probability_vec`, over arrays
+of masses and their :func:`_round_terms`; :func:`grover_probability`
+is it on one element.  ``asin`` and ``sin`` are :mod:`math`'s, mapped
+over the elements (numpy's differ from libm in the last bit on a few
+percent of doubles), and the rest is correctly rounded numpy, so each
+element depends on its own ``(rho, r)`` alone.  Only ``bounds.c_ths``
+keeps numpy's ``arcsin`` and ``sin``, on which fig1's pinned bytes rest.
+
 The polynomial form of P (an alternating binomial sum) is provided for
 cross-validation, and the amplification ratio eta = P / rho, bounded by
-(2r + 1)^2, backs the maximum-amplification bound.
+(2r + 1)^2 (:func:`_amplification_caps`), backs the maximum-amplification bound.
 """
 
 from __future__ import annotations
@@ -23,10 +31,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from .dist_core import _math_map
 from .errors import DomainError
 
 __all__ = [
@@ -104,38 +113,41 @@ def threshold_ratio(r: int) -> float:
     return _threshold_ratio_any(_check_rounds(r))
 
 
+def _round_terms(rounds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``threshold_ratio(r)`` and ``k = 2r + 1`` for each checked round count."""
+    rho_th = np.array([_threshold_ratio_any(r) for r in rounds], dtype=np.float64)
+    k = np.array([2.0 * r + 1.0 for r in rounds], dtype=np.float64)
+    return rho_th, k
+
+
+def _amplification_caps(rounds: Sequence[int]) -> np.ndarray:
+    """The cap ``(2r + 1)^2`` on eta per checked round count: inf past r ~ 6.7e153."""
+    return np.array([_float_or_inf((2 * r + 1) ** 2) for r in rounds], dtype=np.float64)
+
+
 def grover_probability(rho: float, r: int) -> float:
     """Optimal probability of measuring a marked state after r rounds.
 
     Equals ``sin^2((2r + 1) arcsin(sqrt(rho)))`` for ``rho`` at or below
     the threshold ratio and exactly 1 above it (fine-tuned angles);
-    continuous at the junction.
+    continuous at the junction.  :func:`grover_probability_vec` of one element.
     """
     r = _check_rounds(r)
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"marked ratio must lie in [0, 1], got {rho!r}")
-    # rho > 0: threshold_ratio(r) underflows to 0 past r ~ 1e161
-    if rho >= _threshold_ratio_any(r) and rho > 0.0:
-        return 1.0
-    s = math.sin((2.0 * r + 1.0) * math.asin(math.sqrt(rho)))
-    return s * s
+    rho_th, k = _round_terms([r])
+    return grover_probability_vec(np.array([rho], dtype=np.float64), rho_th, k).item()
 
 
-def grover_probability_vec(rho: np.ndarray, r: int) -> np.ndarray:
-    """Vectorized :func:`grover_probability` over an array of ratios.
+def grover_probability_vec(rho: np.ndarray, rho_th, k) -> np.ndarray:
+    """P(rho, r) elementwise, for marked masses ``rho`` in [0, 1].
 
-    No code in the package calls it: numpy's ``arcsin`` and ``sin`` differ
-    from the scalar kernel's libm calls in the last bit, so array code that
-    must match the kernel maps :mod:`math` over the elements instead
-    (``gmth._expectations``).  It stays because ``perfbench/tracer.py``
-    wraps it by name.
+    ``rho_th = threshold_ratio(r)`` and ``k = 2r + 1`` (:func:`_round_terms`)
+    are each one value or one per element.  A zero mass gives 0 even
+    where ``rho_th`` underflows to 0, past r ~ 1e161.
     """
-    r = _check_rounds(r)
-    rho = np.asarray(rho, dtype=np.float64)
-    thr = _threshold_ratio_any(r)
-    clipped = np.clip(rho, 0.0, thr)
-    p = np.sin((2.0 * r + 1.0) * np.arcsin(np.sqrt(clipped))) ** 2
-    return np.where(rho >= thr, 1.0, p)
+    s = _math_map(math.sin, k * _math_map(math.asin, np.sqrt(rho)))
+    return np.where((rho >= rho_th) & (rho > 0.0), 1.0, s * s)
 
 
 def grover_probability_poly(rho: float, r: int) -> float:

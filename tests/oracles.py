@@ -209,6 +209,20 @@ def grover_probability_reference(rho: float, r: int) -> Tuple[float, float]:
         return float(p), float(p / x)
 
 
+def scalar_grover_probability(rho: float, r: int) -> float:
+    """P(rho, r) in Python floats, one mass at a time.
+
+    The body of the kernel's scalar ``grover_probability`` from before it
+    became the array form on one element: the array path must equal it
+    in ``float.hex``.  ``rho`` lies in [0, 1].
+    """
+    # rho > 0: the threshold ratio underflows to 0 past r ~ 1e161
+    if rho >= _threshold_ratio(r) and rho > 0.0:
+        return 1.0
+    s = math.sin((2.0 * r + 1.0) * math.asin(math.sqrt(rho)))
+    return s * s
+
+
 # ---------------------------------------------------------------------------
 # Scalar golden-section searches: c_th and the threshold optimum
 # ---------------------------------------------------------------------------

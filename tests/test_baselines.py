@@ -141,6 +141,16 @@ def test_continuous_expected_min_rejects_draw_counts_past_the_integral(k):
             crs_expected_min(law, k)
 
 
+@pytest.mark.parametrize("k", [3 * 10**8, 10**9])
+def test_continuous_expected_min_within_its_checked_tolerance_at_large_k(k):
+    # The check is relative past |E| = 1: at k = 10**9 these errors are
+    # 2.4e-8, 1.5e-7 and 6.0e-6, each over 1e-8 absolute.
+    laws = (make_normal(0.0, 1.0), make_reflected_gamma(0.5, 0.5), make_reflected_pareto(1.0, 1.0))
+    for law in laws:
+        expected = oracles.crs_min_large_k_reference(law, k)
+        assert abs(crs_expected_min(law, k) - expected) <= 1e-8 * max(1.0, abs(expected))
+
+
 def test_continuous_expected_min_keeps_its_value_below_the_limit():
     assert crs_expected_min(make_normal(0.0, 1.0), 2 * 10**7).hex() == (-5.426282241369065).hex()
 

@@ -1,6 +1,8 @@
 """Row generators for the shipped figure series."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,6 +180,12 @@ def test_fig8_exact_bipartite_spectrum():
     for (value, count), row in zip(spectrum.atoms, rows):
         assert row[0] == value and row[1] == count
         assert row[2] == pytest.approx(count / 4**50, rel=1e-12)
+
+
+def test_fig8_cdf_is_the_correctly_rounded_prefix():
+    _, rows = figures.fig8_rows()
+    prefix = itertools.accumulate(row[1] for row in rows)
+    assert [row[3] for row in rows] == [float(Fraction(c, 4**50)) for c in prefix]
 
 
 def test_fig9_rejects_unknown_bound_kind():

@@ -562,13 +562,14 @@ def test_golden_section_optima_bit_pinned():
 # scipy 1.17.1: fig1 is c_th per round, fig2 the standard-normal threshold
 # optima on a quarter-octave grid up to 10^6, fig5 the binomial and normal
 # threshold optima, fig7 the amplification floor of K_{50,50} over its
-# round grid, fig8 the exact K_{50,50} law (counts, masses, cdf).
+# round grid, fig8 the exact K_{50,50} law (counts, masses, and the cdf
+# as the law's correctly rounded prefix table, not a running float sum).
 _PINNED_REPRODUCE_SHA256 = {
     "fig1": "cb6408bdd28a598c7cc6b8b66f97da129c253afc01fbe0eadd0fd01941974a44",
     "fig2": "63013586fc2681fb4433ad6c154141856b475e171596ad23f70a3d63db7880a5",
     "fig5": "9459057a21d00d5cdb90ccd0badc22506c7a04101c98dcaf82fabeae7b674526",
     "fig7": "188e741296ffea84aa6a2907f41ed368e0aa044f37c5bbc10f8deac10273a22b",
-    "fig8": "c32ef603fb0f246a25d93a85a787715acb2771c1d74157da18c2f06726e9b497",
+    "fig8": "96db4612ba90e0330eb4105cbfd30f74c9d4f3f8c7338cc464a1a2277c2e4e9d",
 }
 
 
@@ -584,7 +585,9 @@ def test_reproduce_csv_bytes_pinned(target, tmp_path):
 # a 4429-round grid, two multi-round threshold sweeps -- a Pareto law
 # at r = 1..1000 and fig4's k = 0.01 Gamma law on 60 quarter-octave rounds --
 # and two K_{n,n} round searches over n = 4..40, one per bound kind.  They
-# stop below n = 53, where the float decisions start to miscount.
+# stop below n = 53, where the float decisions start to miscount.  `pr` on
+# masses down to 1e-300 covers the boosted branch, both sides of
+# POLY_MAX_ROUNDS and eta held to its cap (2r+1)^2.
 _PINNED_CLI_SHA256 = {
     "maxcut-n300": (
         ["maxcut", "--n", "300"],
@@ -609,6 +612,10 @@ _PINNED_CLI_SHA256 = {
     "sweep-gamma": (
         ["sweep", "--dist", "gamma:0.005,0.5", "--r", "pow2:4,64"],
         "0b536c835840bd1cee741e1322201622cfc9f0f9fcb74d3fa6c45d87a5ae7130",
+    ),
+    "pr-geom": (
+        ["pr", "--rho", "geom:1e-300,1,50", "--r", f"1,2,31,100,{2**300}"],
+        "8f83f5b055773ef83bcf1616ad8dcad8cd865dbac37ce8e11cdc26813657e6a2",
     ),
 }
 

@@ -80,9 +80,28 @@ def test_vectorized_matches_scalar():
     rng = np.random.default_rng(7)
     for r in (1, 3, 25):
         rho = np.concatenate([rng.uniform(0, 1, 200), [0.0, 1.0, threshold_ratio(r)]])
-        vec = grover_probability_vec(rho, r)
+        vec = grover_probability_vec(rho, threshold_ratio(r), 2.0 * r + 1.0)
         scalar = np.array([grover_probability(float(x), r) for x in rho])
-        assert np.array_equal(vec, scalar) or np.allclose(vec, scalar, atol=1e-16)
+        assert np.array_equal(vec, scalar)
+
+
+def _cells(r):
+    """A round count with one mass: an edge of [0, 1], the threshold ratio or one of its neighbours, or any."""
+    rho_th = threshold_ratio(r)
+    edges = [0.0, 5e-324, rho_th, math.nextafter(rho_th, 0.0), math.nextafter(rho_th, 1.0), 1.0]
+    return st.tuples(st.just(r), st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)))
+
+
+@given(cells=st.lists(st.integers(min_value=1, max_value=2**1020).flatmap(_cells), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_array_probability_is_the_scalar_reference_bit_for_bit(cells):
+    rounds = [r for r, _ in cells]
+    rho = np.array([m for _, m in cells], dtype=np.float64)
+    rho_th = np.array([threshold_ratio(r) for r in rounds])
+    k = np.array([2.0 * r + 1.0 for r in rounds])
+    expected = [oracles.scalar_grover_probability(m, r).hex() for r, m in cells]
+    assert [p.hex() for p in grover_probability_vec(rho, rho_th, k).tolist()] == expected
+    assert [grover_probability(m, r).hex() for r, m in cells] == expected
 
 
 @given(

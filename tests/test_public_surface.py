@@ -74,6 +74,7 @@ def test_benchmark_tracer_installs_counts_and_restores(tmp_path):
         assert tracer.counts["cli.calls"] == 2
         assert tracer.counts["gmth.optimize_calls"] == 1
         assert tracer.counts["maxcut.search_calls"] == 1
+        assert tracer.counts["grover_kernel.calls"] >= 1
     finally:
         tracer.uninstall()
     after = _snapshot()
