@@ -563,7 +563,7 @@ def test_golden_section_optima_bit_pinned():
 # optima on a quarter-octave grid up to 10^6, fig5 the binomial and normal
 # threshold optima, fig7 the amplification floor of K_{50,50} over its
 # round grid, fig8 the exact K_{50,50} law (counts, masses, and the cdf
-# as the law's correctly rounded prefix table, not a running float sum).
+# as the law's correctly rounded prefix table).
 _PINNED_REPRODUCE_SHA256 = {
     "fig1": "cb6408bdd28a598c7cc6b8b66f97da129c253afc01fbe0eadd0fd01941974a44",
     "fig2": "63013586fc2681fb4433ad6c154141856b475e171596ad23f70a3d63db7880a5",

@@ -86,13 +86,16 @@ def test_vectorized_matches_scalar():
 
 
 def _cells(r):
-    """A round count with one mass: an edge of [0, 1], the threshold ratio or one of its neighbours, or any."""
+    """``(r, rho)``: rho is 0, 5e-324, 1, threshold_ratio(r), a neighbour of it, or any mass."""
     rho_th = threshold_ratio(r)
     edges = [0.0, 5e-324, rho_th, math.nextafter(rho_th, 0.0), math.nextafter(rho_th, 1.0), 1.0]
     return st.tuples(st.just(r), st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)))
 
 
-@given(cells=st.lists(st.integers(min_value=1, max_value=2**1020).flatmap(_cells), min_size=1, max_size=12))
+_ROUNDS = st.integers(min_value=1, max_value=2**1020)
+
+
+@given(cells=st.lists(_ROUNDS.flatmap(_cells), min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_array_probability_is_the_scalar_reference_bit_for_bit(cells):
     rounds = [r for r, _ in cells]
