@@ -217,32 +217,49 @@ def _value_and_grad(theta: np.ndarray, w: np.ndarray, z: np.ndarray) -> Tuple[fl
     """``sum_i z_i |v_i|^2`` after the layers ``theta = (betas, gammas)``,
     and its exact gradient by the adjoint method.
 
-    The forward pass keeps each layer's phase factors ``exp(i gamma_k z)``
-    and pre-mixer state ``u_k``.  The backward pass carries the adjoint
-    ``lam`` (``z * v`` after the last layer) back through each mixer
-    (giving ``mu``) and each phase separator, and reads off
+    The forward pass keeps each layer's pre-mixer state ``u_k`` and its
+    overlap ``w . u_k``.  The backward pass carries the adjoint ``lam``
+    (``z * v`` after the last layer) back through each mixer (giving
+    ``mu``) and each phase separator, and reads off
 
         dE/dbeta_k  = 2 Re(i e^{i beta_k} conj(w . lam_k) (w . u_k))
         dE/dgamma_k = 2 Re(i <mu_k, z * u_k>).
+
+    Buffers, each allocated once per call: the (r, n) phase buffer, whose
+    imaginary half takes ``gamma_k * z`` and is then overwritten in place
+    by ``cos`` and ``sin`` to give ``exp(i gamma_k z)``; the (r, n)
+    pre-mixer states ``u_k``; the r kept overlaps; complex copies of
+    ``w`` and ``z``; and two n-vectors, the state (then ``mu``) and
+    ``lam``.  Every product and sum runs with the operands in the order
+    of the allocating form (``tests/oracles.value_and_grad_reference``),
+    so the value and the gradient equal that form's bit for bit wherever
+    numpy's ``exp(i x)`` equals ``cos x + i sin x``, as on numpy 2.4.6.
     """
     r = theta.size // 2
-    phases = np.exp(1j * np.multiply.outer(theta[r:], z))
+    wc, zc = w.astype(np.complex128), z.astype(np.complex128)
+    phases = np.empty((r, w.size), dtype=np.complex128)
+    np.multiply.outer(theta[r:], z, out=phases.imag)
+    np.cos(phases.imag, out=phases.real)
+    np.sin(phases.imag, out=phases.imag)
     turns = np.exp(1j * theta[:r])
     pre = np.empty_like(phases)
-    v = w.astype(np.complex128)
+    overlaps = []
+    v, lam = wc.copy(), np.empty_like(wc)
     for k in range(r):
-        pre[k] = u = phases[k] * v
-        v = u + (turns[k] - 1.0) * np.dot(w, u) * w
-    lam = z * v
+        u = np.multiply(phases[k], v, out=pre[k])
+        w_u = np.dot(wc, u)
+        overlaps.append(w_u)
+        np.add(u, np.multiply((turns[k] - 1.0) * w_u, wc, out=v), out=v)
+    np.multiply(zc, v, out=lam)
     value = float(np.vdot(v, lam).real)
+    mu = v
     grad = np.empty(2 * r)
     for k in range(r - 1, -1, -1):
-        u = pre[k]
-        w_lam = np.dot(w, lam)
-        grad[k] = 2.0 * (1j * turns[k] * np.conj(w_lam) * np.dot(w, u)).real
-        mu = lam + np.conj(turns[k] - 1.0) * w_lam * w
-        grad[r + k] = 2.0 * (1j * np.vdot(mu, z * u)).real
-        lam = np.conj(phases[k]) * mu
+        w_lam = np.dot(wc, lam)
+        grad[k] = 2.0 * (1j * turns[k] * np.conj(w_lam) * overlaps[k]).real
+        np.add(lam, np.multiply(np.conj(turns[k] - 1.0) * w_lam, wc, out=mu), out=mu)
+        grad[r + k] = 2.0 * (1j * np.vdot(mu, np.multiply(zc, pre[k], out=pre[k]))).real
+        np.multiply(np.conjugate(phases[k], out=lam), mu, out=lam)
     return value, grad
 
 
@@ -300,8 +317,7 @@ def optimize_angles(
 
     best_theta = np.zeros(2 * r)
     best_score = 0.0  # zero schedule: initial state, expectation mu
-    rng = np.random.default_rng(seed)
-    starts = [np.full(2 * r, math.pi)]
+    interp = None
     if warm_start is not None:
         betas = np.asarray(warm_start.betas, dtype=np.float64)
         gammas = sigma * np.asarray(warm_start.gammas, dtype=np.float64)
@@ -310,15 +326,22 @@ def optimize_angles(
         padded_score = _value_and_grad(padded, w, z)[0]
         if padded_score < best_score:
             best_theta, best_score = padded, padded_score
-        starts.append(np.concatenate([_interp(betas, r), _interp(gammas, r)]))
-    for _ in range(restarts - 1):
-        betas = rng.uniform(0.0, 2.0 * math.pi, size=r)
-        gammas = rng.uniform(0.0, 2.0 * math.pi, size=r)
-        starts.append(np.concatenate([betas, gammas]))
+        interp = np.concatenate([_interp(betas, r), _interp(gammas, r)])
+
+    def starts():
+        # each random start is drawn when its restart begins
+        yield np.full(2 * r, math.pi)
+        if interp is not None:
+            yield interp
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts - 1):
+            betas = rng.uniform(0.0, 2.0 * math.pi, size=r)
+            gammas = rng.uniform(0.0, 2.0 * math.pi, size=r)
+            yield np.concatenate([betas, gammas])
 
     cap = EVALUATIONS_PER_LAYER * r
     capped = None
-    for index, theta0 in enumerate(starts):
+    for index, theta0 in enumerate(starts()):
         result = _sciopt.minimize(
             _value_and_grad,
             theta0,

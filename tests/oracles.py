@@ -539,6 +539,43 @@ def phase_expansion_reference(
 
 
 # ---------------------------------------------------------------------------
+# Adjoint gradient with one new array per operation
+# ---------------------------------------------------------------------------
+
+
+def value_and_grad_reference(
+    theta: np.ndarray, w: np.ndarray, z: np.ndarray
+) -> Tuple[float, np.ndarray]:
+    """``sum_i z_i |v_i|^2`` after the layers ``theta = (betas, gammas)``,
+    and its gradient by the adjoint method, as plain array expressions.
+
+    The allocating form of ``gmqaoa._value_and_grad``: phase factors from
+    the complex ``exp``, and each state, adjoint and product a new array.
+    The in-place kernel keeps this form's operand order, so the two agree
+    to the last bit wherever ``exp(i x)`` and ``cos x + i sin x`` do.
+    """
+    r = theta.size // 2
+    phases = np.exp(1j * np.multiply.outer(theta[r:], z))
+    turns = np.exp(1j * theta[:r])
+    pre = np.empty_like(phases)
+    v = w.astype(np.complex128)
+    for k in range(r):
+        pre[k] = u = phases[k] * v
+        v = u + (turns[k] - 1.0) * np.dot(w, u) * w
+    lam = z * v
+    value = float(np.vdot(v, lam).real)
+    grad = np.empty(2 * r)
+    for k in range(r - 1, -1, -1):
+        u = pre[k]
+        w_lam = np.dot(w, lam)
+        grad[k] = 2.0 * (1j * turns[k] * np.conj(w_lam) * np.dot(w, u)).real
+        mu = lam + np.conj(turns[k] - 1.0) * w_lam * w
+        grad[r + k] = 2.0 * (1j * np.vdot(mu, z * u)).real
+        lam = np.conj(phases[k]) * mu
+    return value, grad
+
+
+# ---------------------------------------------------------------------------
 # Exact (value, count) laws in rational arithmetic
 # ---------------------------------------------------------------------------
 

@@ -315,6 +315,7 @@ def test_config_coercion_failure(capsys, tmp_path):
         ("seed", "gmqaoa", "dist = binomial:10,0.5\nr = 1\nrestarts = 2\nseed = -1\n"),
         ("bins", "gmqaoa", "dist = normal:0,1\nr = 1\nbins = 1000000000000000000\n"),
         ("effort_factor", "crs", "dist = twopoint:0.2\nr = 1\neffort_factor = 0\n"),
+        ("restarts", "gmqaoa", "dist = normal:0,1\nr = 1\nrestarts = 0\n"),
         ("t", "threshold", "dist = normal:0,1\nr = 1\nt = nan\n"),
     ],
     ids=lambda v: "" if "=" in v else v,
@@ -437,6 +438,16 @@ def test_config_errors_exit_two(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
+
+
+def test_zero_restarts_fail_before_discretizing(capsys, monkeypatch):
+    def discretize(*args):
+        raise AssertionError("discretized before --restarts was checked")
+
+    monkeypatch.setattr(cli, "discretize_equal_mass", discretize)
+    code, out, err = run_cli(capsys, "gmqaoa", "--dist", "normal:0,1", "--r", "1", "--restarts", "0")
+    assert (code, out) == (2, "")
+    assert "--restarts" in err and "positive integer" in err, err
 
 
 @pytest.mark.parametrize("magnitude", ["1e200", "1e308"])

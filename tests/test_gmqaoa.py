@@ -1,7 +1,9 @@
 """Mixer evolution engines: simulator, characteristic functions, pair sum,
 angle optimization."""
 
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,6 +335,40 @@ def test_each_restart_is_one_minimize_call_on_the_module_attribute(monkeypatch):
     assert proxy.calls == 3 + 4  # the warm start's INTERP stretch is one more start
 
 
+class _RecordingOptimize(_CountingOptimize):
+    """scipy.optimize with a ``minimize`` that keeps a copy of each start."""
+
+    def __init__(self, module):
+        super().__init__(module)
+        self.starts = []
+
+    def minimize(self, fun, x0, *args, **kwargs):
+        self.starts.append(np.array(x0, copy=True))
+        return super().minimize(fun, x0, *args, **kwargs)
+
+
+def test_starts_are_all_pi_then_interp_then_the_seeded_draws(monkeypatch):
+    proxy = _RecordingOptimize(gmqaoa._sciopt)
+    monkeypatch.setattr(gmqaoa, "_sciopt", proxy)
+    law = random_discrete_law(np.random.default_rng(15), max_atoms=15)
+    warm, _ = optimize_angles(law, 2, restarts=1, seed=0)
+    proxy.starts.clear()
+    r, restarts, seed = 4, 5, 9
+    optimize_angles(law, r, restarts=restarts, seed=seed, warm_start=warm)
+    gammas = law.std * np.asarray(warm.gammas)
+    expected = [
+        np.full(2 * r, math.pi),
+        np.concatenate([gmqaoa._interp(np.asarray(warm.betas), r), gmqaoa._interp(gammas, r)]),
+    ]
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts - 1):
+        betas = rng.uniform(0.0, 2.0 * math.pi, size=r)
+        expected.append(np.concatenate([betas, rng.uniform(0.0, 2.0 * math.pi, size=r)]))
+    assert len(proxy.starts) == len(expected)
+    for got, want in zip(proxy.starts, expected):
+        assert np.array_equal(got, want)
+
+
 def test_warm_start_longer_than_target_rejected():
     law = make_two_point(0.2)
     sched, _ = optimize_angles(law, 3, restarts=2, seed=0)
@@ -402,6 +438,45 @@ def test_value_and_grad_matches_simulator_and_central_differences():
                 for step in np.eye(2 * r) * h
             ]
             assert np.max(np.abs(grad - central)) <= 1e-7
+
+
+@functools.lru_cache(maxsize=None)
+def normal_bins(bins):
+    return discretize_equal_mass(make_normal(0.0, 1.0), bins)
+
+
+@given(seed=st.integers(0, 2**32 - 1), large=st.booleans(), r=st.integers(1, 8), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_value_and_grad_matches_the_allocating_reference(seed, large, r, data):
+    # The kernel keeps the reference's operand order and differs only in
+    # taking exp(i x) as cos x + i sin x, which need not match the complex
+    # exp in the last bit on every numpy build: hence tolerances.
+    law = normal_bins(3000) if large else random_discrete_law(np.random.default_rng(seed), 60)
+    w, z = standardized(law)
+    angle = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+    theta = np.array(data.draw(st.lists(angle, min_size=2 * r, max_size=2 * r)))
+    value, grad = gmqaoa._value_and_grad(theta, w, z)
+    ref_value, ref_grad = oracles.value_and_grad_reference(theta, w, z)
+    assert abs(value - ref_value) <= 1e-15 * max(1.0, abs(ref_value))
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-14
+
+
+@pytest.mark.parametrize("r, n", [(1, 3000), (8, 3000), (3, 10_000)])
+def test_value_and_grad_peak_memory(r, n):
+    # 32 bytes an amplitude-layer for the phase buffer and the pre-mixer
+    # states, and four complex n-vectors (the copies of w and z, the state
+    # and the adjoint), the figures cli._ANGLE_SEARCH_BYTES states
+    rng = np.random.default_rng(16)
+    w, z = np.full(n, math.sqrt(1.0 / n)), rng.normal(size=n)
+    theta = rng.uniform(-math.pi, math.pi, 2 * r)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gmqaoa._value_and_grad(theta, w, z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * r * n + 4.5 * 16 * n
 
 
 def test_padded_warm_start_is_stationary():
