@@ -440,7 +440,7 @@ def test_value_and_grad_matches_simulator_and_central_differences():
             assert np.max(np.abs(grad - central)) <= 1e-7
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def normal_bins(bins):
     return discretize_equal_mass(make_normal(0.0, 1.0), bins)
 
